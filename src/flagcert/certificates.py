@@ -262,7 +262,10 @@ def parse_certificate(text: str) -> Certificate:
     if not 2 <= order <= 6:
         raise ValueError(f"expansion-order {order} outside 2..6")
     target = parse_paircode(header_value("target"))
-    strict = {"yes": True, "no": False}[header_value("strict", "no")]
+    strict_value = header_value("strict", "no")
+    if strict_value not in ("yes", "no"):
+        raise ValueError(f"'strict' must be yes or no, got {strict_value!r}")
+    strict = strict_value == "yes"
 
     def poly_value(key):
         v = parse_value(header[key], parametric)
@@ -280,12 +283,21 @@ def parse_certificate(text: str) -> Certificate:
     if parametric and k0 is None:
         raise ValueError("parametric certificates must declare k0")
 
+    def block_value(bkind, body, key):
+        if key not in body:
+            raise ValueError(f"{bkind} block without {key!r}")
+        return body[key]
+
     linear_terms = []
     square_terms = []
     for bkind, body in blocks:
         if bkind == "linear":
-            vector = _parse_combo(body["vector"], parametric, allow_const=False)
-            factor = _parse_combo(body["factor"], parametric, allow_const=True)
+            vector = _parse_combo(
+                block_value(bkind, body, "vector"), parametric, allow_const=False
+            )
+            factor = _parse_combo(
+                block_value(bkind, body, "factor"), parametric, allow_const=True
+            )
             vorders = {g.n for _, g in vector}
             forders = {g.n for _, g in factor if g is not None}
             if len(vorders) != 1 or len(forders) != 1:
@@ -296,12 +308,13 @@ def parse_certificate(text: str) -> Certificate:
             linear_terms.append(LinearTerm(tuple(vector), tuple(factor), vo, fo))
             continue
 
-        labels = int(body["labels"])
+        labels = int(block_value(bkind, body, "labels"))
         flags = tuple(
-            Flag(parse_paircode(c), labels) for c in _split_entries(body["flags"])
+            Flag(parse_paircode(c), labels)
+            for c in _split_entries(block_value(bkind, body, "flags"))
         )
         if labels:
-            tgraph = parse_paircode(body["type"])
+            tgraph = parse_paircode(block_value(bkind, body, "type"))
             if tgraph.n != labels:
                 raise ValueError("type order does not match labels")
             for f in flags:
@@ -317,7 +330,7 @@ def parse_certificate(text: str) -> Certificate:
         if 2 * forder.pop() - labels > order:
             raise ValueError("square term exceeds the expansion order")
 
-        multiplier = parse_value(body["multiplier"], parametric)
+        multiplier = parse_value(block_value(bkind, body, "multiplier"), parametric)
         if not parametric and multiplier < 0:
             raise ValueError(f"negative square multiplier {multiplier}")
         vector = matrix = congruence = None
@@ -327,6 +340,8 @@ def parse_certificate(text: str) -> Certificate:
             )
             if len(vector) != len(flags):
                 raise ValueError("vector length does not match flag count")
+        elif "row" not in body:
+            raise ValueError("square block without 'vector' or 'row'")
         else:
             matrix = tuple(
                 tuple(parse_value(v, parametric) for v in _split_entries(r))
@@ -358,8 +373,9 @@ def parse_certificate(text: str) -> Certificate:
             if not parametric:
                 raise ValueError("psd-condition only applies to parametric kind")
             psd_condition = _parse_poly_literal(body["psd-condition"])
-            pf = parse_value(body["psd-condition-factor"], True)
-            psd_factor = pf
+            psd_factor = parse_value(
+                block_value(bkind, body, "psd-condition-factor"), True
+            )
         square_terms.append(
             SquareTerm(
                 labels,
@@ -601,12 +617,12 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
             _rf_nonneg(st.matrix[d][d], k0, f"square term {i} diagonal [{d}]",
                        failures)
         if st.psd_condition is not None:
-            det = st.matrix[0][0] * st.matrix[1][1] - st.matrix[0][1] * st.matrix[0][1]
             if n != 2:
                 failures.append(
                     f"square term {i}: psd-condition requires a 2x2 matrix"
                 )
                 continue
+            det = st.matrix[0][0] * st.matrix[1][1] - st.matrix[0][1] * st.matrix[0][1]
             claimed = st.psd_condition_factor * RationalFunction(st.psd_condition)
             if det != claimed:
                 failures.append(

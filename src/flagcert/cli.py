@@ -9,7 +9,8 @@ scraping prose.
 Exit status: 0 success / verified, 1 verification failure or counterexample
 found, 2 usage or input error.  Reports are deterministic: identical
 invocations produce byte-identical output.  ``FLAGCERT_THREADS`` caps the
-worker processes used by the scan and search subcommands (default 1).
+worker processes used by the scan and search subcommands (default 1, at
+most the number of CPUs).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _threads() -> int:
         value = int(raw)
     except ValueError:
         raise UsageError(f"FLAGCERT_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 def _stdin_text() -> str:

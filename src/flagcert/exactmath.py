@@ -1,15 +1,17 @@
 """Exact arithmetic helpers: rational polynomials, Sturm chains, LDL^T.
 
-Everything here is built on fractions.Fraction so results are exact.
-Polynomials in one variable k are immutable coefficient tuples in
-ascending order.  Sign questions on rays [k0, inf) are settled by Sturm
-root counting on the squarefree part; symmetric matrices over Q are
-classified PSD / not-PSD with a checkable witness either way.
+Everything here is exact.  Polynomials in one variable k are immutable
+tuples of Fraction coefficients in ascending order.  Sign questions on
+rays [k0, inf) are settled by Sturm root counting on the squarefree
+part.  Each chain is built once per question, as primitive integer
+polynomials by a pseudo-remainder sequence, and its signs at a rational
+point are read off by integer Horner steps.  Symmetric matrices over Q
+are classified PSD / not-PSD with a checkable witness either way.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -113,6 +115,12 @@ class KPolynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return KPolynomial()
+        if other.degree == 0:
+            c = other.coeffs[0]
+            return KPolynomial([a * c for a in self.coeffs])
+        if self.degree == 0:
+            c = self.coeffs[0]
+            return KPolynomial([c * b for b in other.coeffs])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -216,23 +224,98 @@ def _require_poly(x) -> KPolynomial:
     return p
 
 
+# Integer polynomials: ascending int lists, no trailing zeros.  Each is a
+# positive multiple of the rational polynomial it stands for, so roots and
+# signs are those of the original.
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _int_poly(p: KPolynomial) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (lcm // c.denominator) for c in p.coeffs])
+
+
+def _int_derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, in integers."""
+    r = list(a)
+    lc = b[-1]
+    while len(r) >= len(b):
+        c = r[-1]
+        if c:
+            g = math.gcd(lc, c)
+            f, h = lc // g, c // g
+            if f < 0:
+                f, h = -f, -h
+            if f != 1:
+                r = [f * x for x in r]
+            shift = len(r) - len(b)
+            for i, bc in enumerate(b):
+                r[shift + i] -= h * bc
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient (primitive PRS)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return [-c for c in a] if a[-1] < 0 else a
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b when b divides a; integral by Gauss's lemma for primitive b."""
+    r = list(a)
+    lc = b[-1]
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[shift + len(b) - 1], lc)
+        if m:
+            raise ValueError("division is not exact")
+        q[shift] = c
+        if c:
+            for i, bc in enumerate(b):
+                r[shift + i] -= c * bc
+    if any(r):
+        raise ValueError("division is not exact")
+    return q
+
+
+def _int_squarefree(a: list[int]) -> list[int]:
+    """a / gcd(a, a'): every root of a, each once."""
+    if len(a) <= 1:
+        return [1]
+    return _int_exact_div(a, _int_gcd(a, _int_derivative(a)))
+
+
 def poly_gcd(a: KPolynomial, b: KPolynomial) -> KPolynomial:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = a.monic() if not a.is_zero else a, b.monic() if not b.is_zero else b
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
+    """Monic gcd, computed by a primitive pseudo-remainder sequence."""
+    if a.is_zero:
+        return b.monic()
+    if b.is_zero:
+        return a.monic()
+    return KPolynomial(_int_gcd(_int_poly(a), _int_poly(b))).monic()
 
 
 def squarefree_part(p: KPolynomial) -> KPolynomial:
     """p with all multiplicities reduced to one (monic)."""
     if p.is_zero:
         return p
-    if p.degree == 0:
-        return KPolynomial.constant(1)
-    return p.exact_div(poly_gcd(p, p.derivative())).monic()
+    return KPolynomial(_int_squarefree(_int_poly(p))).monic()
 
 
 def squarefree_decomposition(p: KPolynomial) -> list[tuple[int, KPolynomial]]:
@@ -276,13 +359,22 @@ def _odd_multiplicity_part(p: KPolynomial) -> KPolynomial:
 
 
 def sturm_chain(p: KPolynomial) -> list[KPolynomial]:
-    """Sturm chain of the squarefree part of p."""
-    p = squarefree_part(p)
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+    """Sturm chain of the squarefree part of p, as primitive integer polynomials.
+
+    Each element is a positive multiple of the classical element
+    (p, p', -rem, ...), so every sign variation count is unchanged.
+    """
+    a = _int_squarefree(_int_poly(p))
+    chain = [a]
+    b = _primitive(_int_derivative(a))
+    while b:
+        chain.append(b)
+        a, b = b, [-c for c in _primitive(_prem(a, b))]
+    return [KPolynomial(q) for q in chain]
+
+
+def _int_chain(chain: Sequence[KPolynomial]) -> list[tuple[int, ...]]:
+    return [tuple(c.numerator for c in q.coeffs) for q in chain]
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -297,54 +389,59 @@ def _variations(signs: Iterable[int]) -> int:
     return var
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _signs_at(chain: Sequence[tuple[int, ...]], a: int, b: int) -> list[int]:
+    """Signs of the chain's elements at a / b, b > 0.
 
-
-def _variations_at(chain: Sequence[KPolynomial], x: Fraction) -> int:
-    return _variations(_sign(q(x)) for q in chain)
-
-
-def _variations_at_inf(chain: Sequence[KPolynomial], positive: bool) -> int:
-    sgn = []
+    An element q of degree d has the sign of sum q_i a^i b^(d-i), which
+    integer Horner steps evaluate without any division.
+    """
+    bpow = [1]
+    for _ in range(len(chain[0]) - 1):
+        bpow.append(bpow[-1] * b)
+    signs = []
     for q in chain:
-        if q.is_zero:
-            sgn.append(0)
-        elif positive:
-            sgn.append(_sign(q.leading))
-        else:
-            sgn.append(_sign(q.leading) * (-1) ** (q.degree & 1))
-    return _variations(sgn)
+        d = len(q) - 1
+        acc = q[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * a + q[i] * bpow[d - i]
+        signs.append((acc > 0) - (acc < 0))
+    return signs
+
+
+def _variations_at_inf(chain: Sequence[tuple[int, ...]], positive: bool) -> int:
+    """Sign variations of the chain as x tends to +inf or to -inf."""
+    signs = []
+    for q in chain:
+        s = 1 if q[-1] > 0 else -1
+        signs.append(s if positive or len(q) % 2 else -s)  # (-1)^deg at -inf
+    return _variations(signs)
 
 
 def count_real_roots(p: KPolynomial, lower=None, upper=None) -> int:
     """Distinct real roots in (lower, upper); None means unbounded.
 
-    Endpoint roots are excluded: the polynomial is deflated at rational
-    endpoints first, so the interval is genuinely open.
+    Endpoint roots are excluded.  At a root x of p the chain's variation
+    count equals the one just right of x, so V(lower) counts from just past
+    lower, and a root at upper is subtracted.  An empty interval
+    (lower >= upper) has no roots.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
-    p = squarefree_part(p)
-    for end in (lower, upper):
-        if end is not None:
-            end = frac(end)
-            while not p.is_zero and p.degree > 0 and p(end) == 0:
-                p = p.exact_div(KPolynomial([-end, 1]))
-    if p.degree <= 0:
+    if lower is not None and upper is not None and frac(lower) >= frac(upper):
         return 0
-    chain = sturm_chain(p)
-    hi = (
-        _variations_at_inf(chain, False)
-        if lower is None
-        else _variations_at(chain, frac(lower))
-    )
-    lo = (
-        _variations_at_inf(chain, True)
-        if upper is None
-        else _variations_at(chain, frac(upper))
-    )
-    return hi - lo
+    if p.degree == 0:
+        return 0
+    chain = _int_chain(sturm_chain(p))
+    if lower is None:
+        count = _variations_at_inf(chain, False)
+    else:
+        lower = frac(lower)
+        count = _variations(_signs_at(chain, lower.numerator, lower.denominator))
+    if upper is None:
+        return count - _variations_at_inf(chain, True)
+    upper = frac(upper)
+    signs = _signs_at(chain, upper.numerator, upper.denominator)
+    return count - _variations(signs) - (signs[0] == 0)
 
 
 def cauchy_bound(p: KPolynomial) -> Fraction:
@@ -374,6 +471,9 @@ class RootBracket:
 def isolate_largest_real_root(p: KPolynomial, precision) -> RootBracket:
     """Bracket the largest real root to within the given rational width.
 
+    Builds one Sturm chain and bisects on V(mid) - V(+inf), the number of
+    roots in (mid, inf).  The bisection points are lo/den and hi/den with a
+    shared power-of-two denominator, so no Fraction enters the loop.
     Raises ValueError when p has no real root.
     """
     precision = frac(precision)
@@ -381,17 +481,20 @@ def isolate_largest_real_root(p: KPolynomial, precision) -> RootBracket:
         raise ValueError("precision must be positive")
     if p.is_zero or p.degree == 0:
         raise ValueError("no real root")
-    bound = cauchy_bound(p)
-    lo, hi = -bound, bound
-    if count_real_roots(p, lower=lo) == 0:
+    chain = _int_chain(sturm_chain(p))
+    v_inf = _variations_at_inf(chain, True)
+    if _variations_at_inf(chain, False) == v_inf:
         raise ValueError("no real root")
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if count_real_roots(p, lower=mid) >= 1:
+    bound = cauchy_bound(p)
+    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
+    while (hi - lo) * precision.denominator > precision.numerator * den:
+        mid = lo + hi  # the midpoint over the doubled denominator
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        if _variations(_signs_at(chain, mid, den)) > v_inf:
             lo = mid
         else:
             hi = mid
-    return RootBracket(lo, hi)
+    return RootBracket(Fraction(lo, den), Fraction(hi, den))
 
 
 def nonneg_on_ray(p: KPolynomial, k0) -> bool:
@@ -443,16 +546,29 @@ class RationalFunction:
         if num.is_zero:
             den = KPolynomial.constant(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            if num.degree > 0 and den.degree > 0:
+                n, d = _int_poly(num), _int_poly(den)
+                g = _int_gcd(n, d)
+                if len(g) > 1:
+                    # num = a * n and den = b * d with rationals a, b > 0
+                    a = num.leading / n[-1]
+                    b = den.leading / d[-1]
+                    num = KPolynomial([a * c for c in _int_exact_div(n, g)])
+                    den = KPolynomial([b * c for c in _int_exact_div(d, g)])
             lc = den.leading
             if lc != 1:
                 num = num * KPolynomial.constant(1 / lc)
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _normalized(num: KPolynomial, den: KPolynomial) -> "RationalFunction":
+        """Wrap a numerator and denominator already in normal form."""
+        r = object.__new__(RationalFunction)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -492,6 +608,10 @@ class RationalFunction:
 
     def __add__(self, other):
         other = _require_rf(other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -506,6 +626,11 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = _require_rf(other)
+        # a nonzero constant factor cannot change the gcd: scale the numerator
+        if other.num.degree == 0 and other.den.degree == 0:
+            return RationalFunction._normalized(self.num * other.num, self.den)
+        if self.num.degree == 0 and self.den.degree == 0:
+            return RationalFunction._normalized(other.num * self.num, other.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

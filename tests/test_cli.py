@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from flagcert import cli
 from flagcert.cli import main
 from flagcert.graphs import emit_paircode, to_graph6, turan
 
@@ -217,6 +218,49 @@ def test_scan_rejects_garbage_k(capsys):
     assert code == 2 and "comma-separated" in err
 
 
+def _drop_lines(text, prefix):
+    return "\n".join(l for l in text.splitlines() if not l.startswith(prefix))
+
+
+@pytest.mark.parametrize(
+    "name, edit, key",
+    [
+        ("k4.cert", lambda t: t.replace("strict: no", "strict: maybe"), "strict"),
+        ("k4.cert", lambda t: _drop_lines(t, "vector:"), "vector"),
+        ("k4.cert", lambda t: _drop_lines(t, "factor:"), "factor"),
+        ("k4.cert", lambda t: _drop_lines(t, "labels:"), "labels"),
+        ("k4.cert", lambda t: _drop_lines(t, "flags:"), "flags"),
+        ("k4.cert", lambda t: _drop_lines(t, "multiplier:"), "multiplier"),
+        ("k4.cert", lambda t: _drop_lines(t, "type:"), "type"),
+        ("k4.cert", lambda t: _drop_lines(t, "row:"), "row"),
+        (
+            "appendixA.cert",
+            lambda t: _drop_lines(t, "psd-condition-factor:"),
+            "psd-condition-factor",
+        ),
+    ],
+)
+def test_malformed_certificate_exits_two(capsys, monkeypatch, name, edit, key):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(edit(_bundled_text(name))))
+    code, out, err = run(capsys, "verify", "--cert", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_psd_condition_on_1x1_matrix_fails_cleanly(capsys, monkeypatch):
+    block = (
+        "begin square\nlabels: 3\ntype: 1 1 1\nmultiplier: 1\n"
+        "flags: 1 1 2 1 2 2\nrow: 1\npsd-condition: [1]\n"
+        "psd-condition-factor: 1\nend\n"
+    )
+    text = _bundled_text("appendixA.cert") + block
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "verify", "--cert", "-")
+    assert code == 1
+    assert "FAIL: square term 2: psd-condition requires a 2x2 matrix" in out
+    assert "verdict=FAIL" in out
+
+
 # ---------------------------------------------------------------------------
 # environment, argparse plumbing, determinism
 
@@ -231,6 +275,17 @@ def test_threads_env_garbage_rejected(capsys, monkeypatch):
     monkeypatch.setenv("FLAGCERT_THREADS", "many")
     code, _, err = run(capsys, "scan", "--k", "3", "--nmax", "5")
     assert code == 2 and "FLAGCERT_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "raw, cpus, want",
+    [("1000000", 4, 4), ("3", 4, 3), ("0", 4, 1), ("-7", 2, 1), ("8", None, 1)],
+)
+def test_threads_capped_at_cpu_count(monkeypatch, raw, cpus, want):
+    # _threads() only reads the setting; no worker pool is started here
+    monkeypatch.setenv("FLAGCERT_THREADS", raw)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._threads() == want
 
 
 def test_unknown_subcommand_exits_two():

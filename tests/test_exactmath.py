@@ -1,9 +1,10 @@
 """Polynomials, root isolation, rational functions, exact PSD checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagcert.exactmath import (
@@ -107,6 +108,23 @@ def test_sturm_root_counts():
 def test_sturm_chain_shape():
     chain = sturm_chain(PSD_CONDITION)
     assert chain[0] == squarefree_part(PSD_CONDITION).monic() or chain[0].degree == 6
+    # primitive integer polynomials, degrees falling to a nonzero constant
+    for q in chain:
+        assert all(c.denominator == 1 for c in q.coeffs)
+        assert math.gcd(*(c.numerator for c in q.coeffs)) == 1
+    assert [q.degree for q in chain] == list(range(6, -1, -1))
+    assert chain[0].leading > 0 and chain[1].leading > 0
+
+
+def test_count_excludes_root_endpoints():
+    k = KPolynomial([0, 1])
+    cubic = (k - 1) * (k - 2) ** 2 * (k - 3)
+    assert count_real_roots(cubic, 1, 3) == 1
+    assert count_real_roots(cubic, 2, None) == 1
+    assert count_real_roots(cubic, None, 2) == 1
+    assert count_real_roots(cubic, 1, 2) == 0
+    assert count_real_roots(cubic, 3, 1) == 0  # empty interval
+    assert count_real_roots(cubic, 2, 2) == 0
 
 
 def test_cauchy_bound_contains_roots():
@@ -282,3 +300,137 @@ def test_symmatrix_validation():
         SymMatrix.from_rows([[1, 2], [3, 4]])  # not symmetric
     with pytest.raises(ValueError):
         SymMatrix.from_rows([[1, 2, 3], [2, 1, 3]])  # ragged
+
+
+# ---------------------------------------------------------------------------
+# differential checks against sympy (a test-only dependency)
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def factored_polys(draw):
+    """A scaled product of (k - r)^m, maybe times a random integer factor.
+
+    Returns the polynomial and its rational roots, so endpoints and
+    bisection midpoints can be made to land on roots.
+    """
+    k = KPolynomial.variable()
+    p = KPolynomial.constant(draw(st.sampled_from([1, -1, 3, Fraction(-2, 3)])))
+    roots = draw(st.lists(small_rationals, max_size=3))
+    for r in roots:
+        p = p * (k - r) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        extra = KPolynomial(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)))
+        if not extra.is_zero:
+            p = p * extra
+    return p, roots
+
+
+def _sympy_poly(p: KPolynomial):
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    return sp.Poly(
+        [sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x
+    )
+
+
+def _sympy_open_count(p: KPolynomial, lower, upper) -> int:
+    sp = pytest.importorskip("sympy")
+    if lower is not None and upper is not None and lower >= upper:
+        return 0
+    poly = _sympy_poly(p)
+    ends = [None if e is None else sp.Rational(e.numerator, e.denominator)
+            for e in (lower, upper)]
+    n = poly.count_roots(*ends)  # closed interval, distinct roots
+    return n - sum(e is not None and poly.eval(e) == 0 for e in ends)
+
+
+def _reference_bracket(p: KPolynomial, precision: Fraction) -> RootBracket:
+    """Plain bisection that re-counts the roots above each midpoint."""
+    bound = cauchy_bound(p)
+    lo, hi = -bound, bound
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if count_real_roots(p, lower=mid) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return RootBracket(lo, hi)
+
+
+endpoint = st.one_of(st.none(), small_rationals)
+
+
+@given(factored_polys(), st.data())
+def test_count_real_roots_matches_sympy(case, data):
+    p, roots = case
+    if p.degree <= 0:
+        return
+    ends = st.one_of(endpoint, st.sampled_from(roots)) if roots else endpoint
+    lower, upper = data.draw(ends), data.draw(ends)
+    assert count_real_roots(p, lower, upper) == _sympy_open_count(p, lower, upper)
+
+
+@given(polys(5), endpoint, endpoint)
+def test_count_real_roots_matches_sympy_on_rational_polys(p, lower, upper):
+    if p.degree <= 0:
+        return
+    assert count_real_roots(p, lower, upper) == _sympy_open_count(p, lower, upper)
+
+
+@given(factored_polys(), st.integers(1, 40))
+@example((KPolynomial([0, 1, 1]), [0, -1]), 10)  # k(k+1): first midpoint 0 is a root
+@example((KPolynomial([0, 3, 1]), [0, -3]), 20)  # k(k+3): also bracketed at 0
+def test_largest_root_bracket_matches_sympy_and_reference(case, bits):
+    sp = pytest.importorskip("sympy")
+    p, _ = case
+    precision = Fraction(1, 2**bits)
+    real = _sympy_poly(p).real_roots() if p.degree > 0 else []
+    if not real:
+        with pytest.raises(ValueError):
+            isolate_largest_real_root(p, precision)
+        return
+    br = isolate_largest_real_root(p, precision)
+    assert br == _reference_bracket(p, precision)
+    assert br.width <= precision
+    root = max(real)
+    assert bool(sp.Rational(br.lower.numerator, br.lower.denominator) < root)
+    assert bool(root <= sp.Rational(br.upper.numerator, br.upper.denominator))
+
+
+def _sympy_normal_form(expr):
+    """(numerator, denominator) coefficients of expr with a monic denominator."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    num, den = sp.fraction(sp.cancel(expr))
+    num, den = sp.Poly(num, x), sp.Poly(den, x)
+    lc = den.LC()
+    out = []
+    for poly in (num, den):
+        cs = [c / lc for c in reversed(poly.all_coeffs())]
+        cs = [Fraction(int(c.p), int(c.q)) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out.append(tuple(cs))
+    return tuple(out)
+
+
+@st.composite
+def rational_functions(draw):
+    num = draw(polys(3))
+    den = draw(polys(2).filter(lambda q: not q.is_zero))
+    common = draw(polys(1).filter(lambda q: not q.is_zero))
+    return RationalFunction(num * common, den * common)
+
+
+@given(rational_functions(), rational_functions())
+def test_rational_function_ops_match_sympy_cancel(r, s):
+    def expr(f):
+        return _sympy_poly(f.num).as_expr() / _sympy_poly(f.den).as_expr()
+
+    results = [(r + s, expr(r) + expr(s)), (r * s, expr(r) * expr(s))]
+    if not s.is_zero:
+        results.append((r / s, expr(r) / expr(s)))
+    for got, want in results:
+        assert (got.num.coeffs, got.den.coeffs) == _sympy_normal_form(want)
