@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactmath import frac
 from .graphs import SmallGraph, automorphism_count, complete

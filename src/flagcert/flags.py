@@ -27,11 +27,12 @@ from functools import lru_cache
 
 from .graphs import (
     SmallGraph,
-    _code_to_mask,
+    _enumerate,
     _enumerate_unchecked,
-    _min_code,
-    _rows,
+    _flag_bits,
+    _induced_mask,
     induced_density,
+    mask_to_code_bits,
     parse_paircode,
     emit_paircode,
 )
@@ -87,35 +88,10 @@ def parse_flag(text: str) -> Flag:
     return Flag(parse_paircode(s), 0)
 
 
-@lru_cache(maxsize=None)
-def _flag_bits(n: int, mask: int, labels: int) -> int:
-    return _min_code(n, _rows(n, mask), labels)
-
-
 def _type_key(type_graph: SmallGraph | None) -> tuple[int, int]:
     if type_graph is None:
         return (0, 0)
     return (type_graph.n, type_graph.mask)
-
-
-@lru_cache(maxsize=None)
-def _basis(type_n: int, type_mask: int, l: int) -> tuple[Flag, ...]:
-    if l == type_n:
-        if type_n == 0:
-            raise AssertionError("basis recursion below order 1")
-        return (Flag(SmallGraph(type_n, type_mask), type_n),)
-    if l == 1:  # only reachable with empty type
-        return (Flag(SmallGraph(1, 0), 0),)
-    prev = _basis(type_n, type_mask, l - 1)
-    base = l * (l - 1) // 2 - (l - 1)
-    seen: dict[int, Flag] = {}
-    for f in prev:
-        for nbrs in range(1 << (l - 1)):
-            g = SmallGraph(l, f.graph.mask | nbrs << base)
-            bits = Flag(g, type_n).canonical_bits()
-            if bits not in seen:
-                seen[bits] = Flag(SmallGraph(l, _code_to_mask(l, bits)), type_n)
-    return tuple(seen[b] for b in sorted(seen))
 
 
 def flag_basis(type_graph: SmallGraph | None, l: int) -> tuple[Flag, ...]:
@@ -127,7 +103,7 @@ def flag_basis(type_graph: SmallGraph | None, l: int) -> tuple[Flag, ...]:
     s, mask = _type_key(type_graph)
     if not s <= l <= MAX_BASIS_ORDER or l < 1:
         raise ValueError(f"basis order {l} outside {max(s,1)}..{MAX_BASIS_ORDER}")
-    return _basis(s, mask, l)
+    return tuple(Flag(g, s) for g in _enumerate(l, s, mask))
 
 
 class FlagVector:
@@ -186,36 +162,17 @@ class FlagVector:
 
 
 def _sub_flag_bits(rows, vertices: tuple[int, ...], labels: int) -> int:
-    mask = 0
-    for b in range(1, len(vertices)):
-        base = b * (b - 1) // 2
-        rv = rows[vertices[b]]
-        for a in range(b):
-            if rv >> vertices[a] & 1:
-                mask |= 1 << base + a
-    return _flag_bits(len(vertices), mask, labels)
+    return _flag_bits(len(vertices), _induced_mask(rows, vertices), labels)
 
 
 def _placements(g: SmallGraph, type_n: int, type_mask: int):
     """Injective type_n-tuples of V(g) inducing exactly the type graph."""
-    if type_n == 0:
-        return [()]
     rows = g.rows()
-    out = []
-    for theta in itertools.permutations(range(g.n), type_n):
-        ok = True
-        for b in range(1, type_n):
-            base = b * (b - 1) // 2
-            for a in range(b):
-                want = type_mask >> base + a & 1
-                if (rows[theta[b]] >> theta[a] & 1) != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(theta)
-    return out
+    return [
+        theta
+        for theta in itertools.permutations(range(g.n), type_n)
+        if _induced_mask(rows, theta) == type_mask
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -244,18 +201,14 @@ def _pair_table(type_n: int, type_mask: int, l1: int, l2: int):
                     _sub_flag_bits(rows, theta + u2, s),
                 )
                 counts[key] = counts.get(key, 0) + 1
-        per_host[g.canonical_code().bits] = counts
+        per_host[mask_to_code_bits(l, g.mask)] = counts
     total = math.perm(l, s) * math.comb(l - s, l1 - s)
     return per_host, total
 
 
+@lru_cache(maxsize=None)
 def _unlabel_table(type_n: int, type_mask: int, l: int):
     """Counts of label placements per host: {host: {flag_bits: count}}."""
-    return _unlabel_table_cached(type_n, type_mask, l)
-
-
-@lru_cache(maxsize=None)
-def _unlabel_table_cached(type_n: int, type_mask: int, l: int):
     hosts = _enumerate_unchecked(l)
     per_host: dict[int, dict[int, int]] = {}
     for g in hosts:
@@ -265,7 +218,7 @@ def _unlabel_table_cached(type_n: int, type_mask: int, l: int):
             rest = tuple(v for v in range(l) if v not in theta)
             bits = _sub_flag_bits(rows, theta + rest, type_n)
             counts[bits] = counts.get(bits, 0) + 1
-        per_host[g.canonical_code().bits] = counts
+        per_host[mask_to_code_bits(l, g.mask)] = counts
     return per_host, math.perm(l, type_n)
 
 
@@ -317,7 +270,7 @@ def unlabel(vec: FlagVector) -> FlagVector:
     tg = sample.type_graph()
     tn, tm = _type_key(tg)
     table, total = _unlabel_table(tn, tm, l)
-    hosts = {g.canonical_code().bits: g for g in _enumerate_unchecked(l)}
+    hosts = {mask_to_code_bits(l, g.mask): g for g in _enumerate_unchecked(l)}
     out = FlagVector(0, l)
     for host_bits, counts in table.items():
         acc = 0
@@ -375,7 +328,7 @@ def expand_quadratic_form(matrix, flags: list[Flag]) -> FlagVector:
     index = {b: i for i, b in enumerate(bits)}
     l = 2 * lf - s
     table, total = _pair_table(tn, tm, lf, lf)
-    hosts = {g.canonical_code().bits: g for g in _enumerate_unchecked(l)}
+    hosts = {mask_to_code_bits(l, g.mask): g for g in _enumerate_unchecked(l)}
     out = FlagVector(0, l)
     for host_bits, counts in table.items():
         acc = 0
@@ -395,7 +348,7 @@ def bilinear_expansion(v1: FlagVector, v2: FlagVector) -> FlagVector:
         raise ValueError("bilinear expansion expects label-free vectors")
     l = v1.order + v2.order
     table, total = _pair_table(0, 0, v1.order, v2.order)
-    hosts = {g.canonical_code().bits: g for g in _enumerate_unchecked(l)}
+    hosts = {mask_to_code_bits(l, g.mask): g for g in _enumerate_unchecked(l)}
     out = FlagVector(0, l)
     for host_bits, counts in table.items():
         acc = 0

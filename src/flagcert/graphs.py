@@ -11,6 +11,14 @@ the canonical code is the lexicographically minimal column-major bit
 string over all orderings.  Candidates that are twins (swapping them is
 an automorphism) are explored once, which keeps highly symmetric graphs
 (empty, complete, balanced multipartite) cheap.
+
+Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
+1978).  A prefix of a minimal code is the minimal code of the subgraph it
+describes, so the classes of order l are the canonical forms of order
+l-1 plus one new column, kept when the identity order is already
+minimal.  That canonicity test is the same branch-and-bound, seeded with
+the candidate's own columns and stopped at the first smaller column.
+Flag bases (labelled vertices pinned) come from the same generator.
 """
 
 from __future__ import annotations
@@ -79,15 +87,7 @@ class SmallGraph:
 
     def induced(self, vertices: tuple[int, ...]) -> "SmallGraph":
         """Subgraph induced on the given distinct vertices, relabelled 0.."""
-        rows = self.rows()
-        mask = 0
-        for b in range(1, len(vertices)):
-            base = b * (b - 1) // 2
-            rv = rows[vertices[b]]
-            for a in range(b):
-                if rv >> vertices[a] & 1:
-                    mask |= 1 << base + a
-        return SmallGraph(len(vertices), mask)
+        return SmallGraph(len(vertices), _induced_mask(self.rows(), vertices))
 
     def relabelled(self, perm: tuple[int, ...]) -> "SmallGraph":
         """Image under the permutation sending vertex v to perm[v]."""
@@ -150,25 +150,41 @@ def _min_code(n: int, rows: tuple[int, ...], fixed: int = 0) -> int:
 
 @lru_cache(maxsize=None)
 def _min_code_cached(n: int, rows: tuple[int, ...], fixed: int) -> int:
-    best = [_INF] * n
-    for d in range(fixed):
+    best = _columns(rows, fixed) + [_INF] * (n - fixed)
+    _descend(rows, fixed, best, False)
+    code = 0
+    for d in range(n):
+        code = code << d | best[d]
+    return code
+
+
+def _is_canonical(rows: tuple[int, ...], fixed: int) -> bool:
+    """True when the identity order gives the minimal code (0..fixed-1 pinned)."""
+    return not _descend(rows, fixed, _columns(rows, len(rows)), True)
+
+
+def _columns(rows: tuple[int, ...], upto: int) -> list[int]:
+    """Identity-order code columns of vertices 0..upto-1."""
+    cols = []
+    for d in range(upto):
         col = 0
         for i in range(d):
             col = col << 1 | rows[d] >> i & 1
-        best[d] = col
+        cols.append(col)
+    return cols
 
-    def dfs(placed: list[int], placed_mask: int, depth: int) -> None:
-        if depth == n:
-            return
-        cands = []
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            col = 0
-            rv = rows[v]
-            for u in placed:
-                col = col << 1 | rv >> u & 1
-            cands.append((col, v))
+
+def _descend(rows: tuple[int, ...], fixed: int, best: list[int], stop: bool) -> bool:
+    """Branch and bound over placements whose columns so far equal ``best``.
+
+    A smaller column lowers ``best`` in place, so it ends as the columns of
+    the minimal code; with ``stop`` the search instead returns True at the
+    first smaller column (the seeded code is not minimal).
+    """
+    n = len(rows)
+
+    def dfs(cands: list[tuple[int, int]], depth: int) -> bool:
+        # cands: (column toward the placed vertices, vertex) per unplaced vertex
         cands.sort()
         chosen: list[int] = []
         for col, v in cands:
@@ -185,18 +201,28 @@ def _min_code_cached(n: int, rows: tuple[int, ...], fixed: int) -> int:
                 continue
             chosen.append(v)
             if col < best[depth]:
+                if stop:
+                    return True
                 best[depth] = col
                 for t in range(depth + 1, n):
                     best[t] = _INF
-            placed.append(v)
-            dfs(placed, placed_mask | 1 << v, depth + 1)
-            placed.pop()
+            if depth + 1 < n and dfs(
+                [(c << 1 | rows[w] >> v & 1, w) for c, w in cands if w != v], depth + 1
+            ):
+                return True
+        return False
 
-    dfs(list(range(fixed)), (1 << fixed) - 1, fixed)
-    code = 0
-    for d in range(n):
-        code = code << d | best[d]
-    return code
+    cands = [(0, v) for v in range(n)]
+    for u in range(fixed):  # the pinned vertices come first, in order
+        cands = [(c << 1 | rows[w] >> u & 1, w) for c, w in cands if w != u]
+    return fixed < n and dfs(cands, fixed)
+
+
+@lru_cache(maxsize=None)
+def _flag_bits(n: int, mask: int, labels: int) -> int:
+    """Canonical code of a graph given by its mask, first ``labels`` pinned."""
+    # the code is cached here, so the rows it came from need not be
+    return _min_code(n, _rows.__wrapped__(n, mask), labels)
 
 
 def _code_to_mask(n: int, bits: int) -> int:
@@ -226,18 +252,26 @@ def mask_to_code_bits(n: int, mask: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _enumerate(l: int) -> tuple[SmallGraph, ...]:
-    if l == 1:
-        return (SmallGraph(1, 0),)
-    base = l * (l - 1) // 2 - (l - 1)
-    seen: dict[int, SmallGraph] = {}
-    for g in _enumerate(l - 1):
-        for nbrs in range(1 << (l - 1)):
-            cand = SmallGraph(l, g.mask | nbrs << base)
-            code = cand.canonical_code()
-            if code.bits not in seen:
-                seen[code.bits] = cand.canonical_form()
-    return tuple(seen[b] for b in sorted(seen))
+def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
+    """Canonical forms of order l in code order, by orderly generation.
+
+    With ``fixed`` > 0 these are the flags whose pinned vertices
+    0..fixed-1 induce ``fixed_mask``.  A child's code is its parent's code
+    followed by the new column, so parents in code order and columns in
+    increasing order give children in code order.
+    """
+    if l == max(fixed, 1):
+        return (SmallGraph(l, fixed_mask),)
+    m = l - 1
+    out = []
+    for g in _enumerate(m, fixed, fixed_mask):
+        prows = _rows.__wrapped__(m, g.mask)  # needed once: kept out of the cache
+        for col in range(1 << m):
+            nbrs = int(f"{col:0{m}b}"[::-1], 2)  # the column has vertex 0 highest
+            rows = tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows))
+            if _is_canonical(rows + (nbrs,), fixed):
+                out.append(SmallGraph(l, g.mask | nbrs << g.pair_count))
+    return tuple(out)
 
 
 def enumerate_graphs(l: int) -> tuple[SmallGraph, ...]:
@@ -247,23 +281,18 @@ def enumerate_graphs(l: int) -> tuple[SmallGraph, ...]:
     """
     if not 1 <= l <= 7:
         raise ValueError(f"order {l} outside 1..7")
-    return _enumerate(l)
+    return _enumerate(l, 0, 0)
 
 
 def _enumerate_unchecked(l: int) -> tuple[SmallGraph, ...]:
     """Enumeration without the public order cap (internal, l <= 9)."""
     if not 1 <= l <= MAX_ORDER:
         raise ValueError(f"order {l} outside 1..{MAX_ORDER}")
-    return _enumerate(l)
+    return _enumerate(l, 0, 0)
 
 
 # ---------------------------------------------------------------------------
 # induced counting
-
-
-@lru_cache(maxsize=None)
-def _canon_bits(n: int, mask: int) -> int:
-    return _min_code(n, _rows(n, mask))
 
 
 def _induced_mask(rows: tuple[int, ...], vertices: tuple[int, ...]) -> int:
@@ -285,11 +314,11 @@ def count_induced(h: SmallGraph, g: SmallGraph) -> int:
     m, n = h.n, g.n
     if m > n:
         return 0
-    target = _canon_bits(m, h.mask)
+    target = _flag_bits(m, h.mask, 0)
     rows = g.rows()
     total = 0
     for sub in itertools.combinations(range(n), m):
-        if _canon_bits(m, _induced_mask(rows, sub)) == target:
+        if _flag_bits(m, _induced_mask(rows, sub), 0) == target:
             total += 1
     return total
 

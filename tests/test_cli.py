@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, trailers, exit codes, determinism."""
 
+import hashlib
 import io
 import subprocess
 import sys
@@ -42,6 +43,17 @@ def test_enumerate_graph6(capsys):
     assert code == 0 and lines[-1] == "count=34"
     # order-5 graph6: one order byte, two data bytes
     assert all(len(l) == 3 and l[0] == "D" for l in lines[:-1])
+
+
+def test_enumerate_order7_graph6_is_frozen(capsys):
+    # digest of the listing before orderly generation replaced the
+    # canonical-form search: same classes, same representatives, same order
+    code, out, _ = run(capsys, "enumerate", "--order", "7", "--graph6")
+    assert code == 0 and out.endswith("count=1044\n")
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "8afff0d97c1853e18211796b0f6a6e0001ae72261b9349f5a3388c08325edff9"
+    )
 
 
 def test_enumerate_rejects_large_order(capsys):

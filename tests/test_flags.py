@@ -1,5 +1,6 @@
 """Typed flags: bases, products, unlabelling, lifting, quadratic forms."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -122,6 +123,23 @@ def test_flag_basis_edge_type_order4_matches_independent_dedup():
             best = relabeled if best is None else min(best, relabeled)
         seen.add(best)
     assert len(flag_basis(complete(2), 4)) == len(seen)
+
+
+def test_flag_bases_are_frozen():
+    # every basis over a type of order <= 5 up to order 6, as recorded
+    # before the bases came from orderly generation: same flags, same order
+    types = [None] + [g for s in range(1, 6) for g in enumerate_graphs(s)]
+    lines = []
+    for t in types:
+        s, tm = (0, 0) if t is None else (t.n, t.mask)
+        for l in range(max(s, 1), 7):
+            for f in flag_basis(t, l):
+                lines.append(f"{s} {tm} {l} {f.graph.n} {f.graph.mask}\n")
+    assert len(lines) == 11042
+    assert (
+        hashlib.sha256("".join(lines).encode()).hexdigest()
+        == "270d5ff2bd83bda46caa299fe1769889a309b2ab71795807fc23abb4e21a1e3a"
+    )
 
 
 def test_flag_basis_type_embedding():

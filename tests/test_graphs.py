@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagcert import graphs
 from flagcert.graphs import (
     SmallGraph,
+    _code_to_mask,
+    _enumerate_unchecked,
+    _is_canonical,
+    _min_code,
+    _rows,
     automorphism_count,
     blowup_graph,
     complete,
@@ -20,6 +26,7 @@ from flagcert.graphs import (
     from_graph6,
     induced_density,
     join,
+    mask_to_code_bits,
     parse_graph,
     parse_paircode,
     to_graph6,
@@ -93,7 +100,21 @@ def test_parse_graph_accepts_both():
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [len(enumerate_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_enumeration_order8_count():
+    assert len(_enumerate_unchecked(8)) == 12346  # OEIS A000088
+
+
+def test_enumeration_keeps_candidates_out_of_caches():
+    # order 7 tests 156 * 2**6 = 9984 candidates; none of them, and none of
+    # the parents, may stay in the unbounded lru caches
+    for cache in (graphs._enumerate, graphs._rows, graphs._min_code_cached):
+        cache.cache_clear()
+    assert len(enumerate_graphs(7)) == 1044
+    assert graphs._rows.cache_info().currsize == 0
+    assert graphs._min_code_cached.cache_info().currsize == 0
 
 
 def test_enumeration_is_canonical_and_sorted():
@@ -122,6 +143,17 @@ def test_canonical_form_is_permutation_invariant():
         for _ in range(50):
             perm = tuple(rng.sample(range(5), 5))
             assert g.relabelled(perm).canonical_form() == canon
+
+
+@given(small_graphs(7), st.integers(0, 7), st.booleans())
+def test_canonicity_test_matches_minimisation(g, fixed, canonize):
+    fixed = min(fixed, g.n)
+    mask = g.mask
+    if canonize:  # canonical forms are rare among random masks
+        mask = _code_to_mask(g.n, _min_code(g.n, _rows(g.n, mask), fixed))
+    rows = _rows(g.n, mask)
+    expect = _min_code(g.n, rows, fixed) == mask_to_code_bits(g.n, mask)
+    assert _is_canonical(rows, fixed) == expect
 
 
 @given(small_graphs(5))
