@@ -10,11 +10,16 @@ probability that a uniformly random split of H's unlabelled vertices
 into disjoint parts of sizes l1-s and l2-s induces the two factors.
 Unlabelling averages over all injective placements of the labels.
 
-All expansions used by certificate checking reduce to one memoized
-table: for a host graph G, how often does (random label placement,
-random split) induce a given ordered pair of flags.  Coefficients may
-be Fractions or RationalFunctions; the arithmetic only assumes ring
-operations against ints.
+Lift, unlabel, the product and the pair expansions all read one cached
+integer table, ``_count_table(type order, type mask, l, part orders)``.
+For every host of order l it counts, over each label placement and each
+ordered split of the remaining vertices into the parts, the tuple of the
+parts' flag codes.  Each operation weights those counts sparsely by its
+coefficients and scales each host once by 1/(placements * splits).  A
+lift from order m to l is the type-0 table with one part of order m; a
+lift to the same order needs no table.  Coefficients may be Fractions or
+RationalFunctions; the arithmetic only assumes ring operations against
+ints.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ from functools import lru_cache
 
 from .graphs import (
     SmallGraph,
+    _code_to_mask,
     _enumerate,
     _enumerate_unchecked,
     _flag_bits,
     _induced_mask,
-    induced_density,
     mask_to_code_bits,
     parse_paircode,
     emit_paircode,
@@ -142,23 +147,27 @@ class FlagVector:
 
     def scaled(self, factor) -> "FlagVector":
         out = FlagVector(self.labels, self.order)
-        for f, c in self.items():
-            out.add(f, c * factor)
+        out._flags = dict(self._flags)
+        out.coeffs = {b: c * factor for b, c in self.coeffs.items()}
         return out
 
     def __add__(self, other: "FlagVector") -> "FlagVector":
         if (self.labels, self.order) != (other.labels, other.order):
             raise ValueError("adding vectors of different shape")
         out = FlagVector(self.labels, self.order)
-        for f, c in self.items():
-            out.add(f, c)
-        for f, c in other.items():
-            out.add(f, c)
+        out._flags = {**other._flags, **self._flags}
+        out.coeffs = dict(self.coeffs)
+        for b, c in other.coeffs.items():
+            out.coeffs[b] = out.coeffs.get(b, 0) + c
         return out
 
 
 # ---------------------------------------------------------------------------
-# the shared enumeration table
+# the shared count table
+
+# The four bundled certificates use eight tables together (pair tables and
+# lifts); the bound keeps all of them with room to spare.
+TABLE_CACHE_SIZE = 16
 
 
 def _sub_flag_bits(rows, vertices: tuple[int, ...], labels: int) -> int:
@@ -175,51 +184,72 @@ def _placements(g: SmallGraph, type_n: int, type_mask: int):
     ]
 
 
-@lru_cache(maxsize=None)
-def _pair_table(type_n: int, type_mask: int, l1: int, l2: int):
-    """Joint split counts for every host graph of order l1+l2-type_n.
+def _splits(rest: tuple[int, ...], sizes: tuple[int, ...]) -> list:
+    """Ordered tuples of disjoint subsets of ``rest`` with the given sizes."""
+    if not sizes:
+        return [()]
+    return [
+        (u,) + tail
+        for u in itertools.combinations(rest, sizes[0])
+        for tail in _splits(tuple(v for v in rest if v not in u), sizes[1:])
+    ]
 
-    Returns (per_host, total): per_host maps a host's canonical code to
-    a dict {(flag1_bits, flag2_bits): count}; count/total is the
-    probability that a random injective label placement plus a random
-    ordered split induces that flag pair.
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _count_table(
+    type_n: int, type_mask: int, l: int, parts: tuple[int, ...], pinned: bool = False
+):
+    """Integer sub-flag counts for every host of order l.
+
+    Hosts are the label-free classes of order l, or with ``pinned`` the
+    flags of order l over the type.  Each label placement (every injective
+    tuple inducing the type; only 0..s-1 when pinned) and each ordered
+    split of the other vertices into disjoint parts of p - s vertices,
+    p in ``parts``, yields the tuple of the parts' flag codes.  Returns
+    (rows, total): rows is [(host code, host, {code tuple: count})] in code
+    order, and count/total is the probability of that tuple.
     """
     s = type_n
-    l = l1 + l2 - s
-    hosts = _enumerate_unchecked(l)
-    per_host: dict[int, dict[tuple[int, int], int]] = {}
+    sizes = tuple(p - s for p in parts)
+    # splits and subsets as positions in the list of unlabelled vertices
+    splits = _splits(tuple(range(l - s)), sizes)
+    subsets = [
+        u for k in set(sizes) for u in itertools.combinations(range(l - s), k)
+    ]
+    hosts = _enumerate(l, s, type_mask) if pinned else _enumerate_unchecked(l)
+    rows = []
     for g in hosts:
-        rows = g.rows()
-        counts: dict[tuple[int, int], int] = {}
-        for theta in _placements(g, type_n, type_mask):
+        grows = g.rows()
+        counts: dict[tuple[int, ...], int] = {}
+        for theta in [tuple(range(s))] if pinned else _placements(g, s, type_mask):
             rest = [v for v in range(l) if v not in theta]
-            for u1 in itertools.combinations(rest, l1 - s):
-                in_u1 = set(u1)
-                u2 = tuple(v for v in rest if v not in in_u1)
-                key = (
-                    _sub_flag_bits(rows, theta + u1, s),
-                    _sub_flag_bits(rows, theta + u2, s),
-                )
+            # each subset's code once per placement, shared by every split
+            code = {
+                u: _sub_flag_bits(grows, theta + tuple(rest[i] for i in u), s)
+                for u in subsets
+            }
+            for split in splits:
+                key = tuple(map(code.__getitem__, split))
                 counts[key] = counts.get(key, 0) + 1
-        per_host[mask_to_code_bits(l, g.mask)] = counts
-    total = math.perm(l, s) * math.comb(l - s, l1 - s)
-    return per_host, total
+        rows.append((mask_to_code_bits(l, g.mask), g, counts))
+    return rows, len(splits) * (1 if pinned else math.perm(l, s))
 
 
-@lru_cache(maxsize=None)
-def _unlabel_table(type_n: int, type_mask: int, l: int):
-    """Counts of label placements per host: {host: {flag_bits: count}}."""
-    hosts = _enumerate_unchecked(l)
-    per_host: dict[int, dict[int, int]] = {}
-    for g in hosts:
-        rows = g.rows()
-        counts: dict[int, int] = {}
-        for theta in _placements(g, type_n, type_mask):
-            rest = tuple(v for v in range(l) if v not in theta)
-            bits = _sub_flag_bits(rows, theta + rest, type_n)
-            counts[bits] = counts.get(bits, 0) + 1
-        per_host[mask_to_code_bits(l, g.mask)] = counts
-    return per_host, math.perm(l, type_n)
+def _expand(table, labels: int, order: int, weights: dict) -> FlagVector:
+    """Per host, the sum of weight * count over its code tuples, over total."""
+    rows, total = table
+    scale = Fraction(1, total)
+    out = FlagVector(labels, order)
+    for bits, g, counts in rows:
+        acc = 0
+        for key, cnt in counts.items():
+            w = weights.get(key)
+            if w is not None:
+                acc = acc + w * cnt
+        if acc != 0:
+            out.coeffs[bits] = acc * scale
+            out._flags[bits] = Flag(g, labels)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +269,8 @@ def flag_product(f1: Flag, f2: Flag) -> FlagVector:
     l = f1.order + f2.order - s
     if l > MAX_BASIS_ORDER:
         raise ValueError(f"product order {l} exceeds {MAX_BASIS_ORDER}")
-    bits1, bits2 = f1.canonical_bits(), f2.canonical_bits()
-    denom = math.comb(l - s, f1.order - s)
-    pre = tuple(range(s))
-    out = FlagVector(s, l)
-    for h in flag_basis(t1, l):
-        rows = h.graph.rows()
-        fav = 0
-        for u1 in itertools.combinations(range(s, l), f1.order - s):
-            in_u1 = set(u1)
-            u2 = tuple(v for v in range(s, l) if v not in in_u1)
-            if (
-                _sub_flag_bits(rows, pre + u1, s) == bits1
-                and _sub_flag_bits(rows, pre + u2, s) == bits2
-            ):
-                fav += 1
-        if fav:
-            out.add(h, Fraction(fav, denom))
-    return out
+    table = _count_table(*_type_key(t1), l, (f1.order, f2.order), True)
+    return _expand(table, s, l, {(f1.canonical_bits(), f2.canonical_bits()): 1})
 
 
 def unlabel(vec: FlagVector) -> FlagVector:
@@ -264,23 +278,11 @@ def unlabel(vec: FlagVector) -> FlagVector:
     s, l = vec.labels, vec.order
     if s == 0:
         return vec
-    sample = next(iter(vec.items()))[0] if vec.coeffs else None
-    if sample is None:
+    if not vec.coeffs:
         return FlagVector(0, l)
-    tg = sample.type_graph()
-    tn, tm = _type_key(tg)
-    table, total = _unlabel_table(tn, tm, l)
-    hosts = {mask_to_code_bits(l, g.mask): g for g in _enumerate_unchecked(l)}
-    out = FlagVector(0, l)
-    for host_bits, counts in table.items():
-        acc = 0
-        for fbits, cnt in counts.items():
-            c = vec.coeffs.get(fbits)
-            if c is not None:
-                acc = acc + c * cnt
-        if acc:
-            out.add(Flag(hosts[host_bits], 0), acc * Fraction(1, total))
-    return out
+    tn, tm = _type_key(vec._flags[min(vec.coeffs)].type_graph())
+    weights = {(b,): c for b, c in vec.coeffs.items()}
+    return _expand(_count_table(tn, tm, l, (l,)), 0, l, weights)
 
 
 def lift(vec: FlagVector, l: int) -> FlagVector:
@@ -289,14 +291,14 @@ def lift(vec: FlagVector, l: int) -> FlagVector:
         raise ValueError("lift expects a label-free vector")
     if l < vec.order:
         raise ValueError(f"cannot lift order {vec.order} down to {l}")
-    out = FlagVector(0, l)
-    items = vec.items()
-    for g in _enumerate_unchecked(l):
-        acc = 0
-        for f, c in items:
-            acc = acc + c * induced_density(f.graph, g)
-        if acc:
-            out.add(Flag(g, 0), acc)
+    if l > vec.order:
+        weights = {(b,): c for b, c in vec.coeffs.items()}
+        return _expand(_count_table(0, 0, l, (vec.order,)), 0, l, weights)
+    out = FlagVector(0, l)  # p(f, g) is 1 when f and g are isomorphic, else 0
+    for b, c in sorted(vec.coeffs.items()):
+        if c != 0:
+            out.coeffs[b] = c
+            out._flags[b] = Flag(SmallGraph(l, _code_to_mask(l, b)), 0)
     return out
 
 
@@ -325,21 +327,11 @@ def expand_quadratic_form(matrix, flags: list[Flag]) -> FlagVector:
     bits = [f.canonical_bits() for f in flags]
     if len(set(bits)) != m:
         raise ValueError("flags are not pairwise distinct")
-    index = {b: i for i, b in enumerate(bits)}
+    weights = {
+        (bi, bj): matrix[i][j] for i, bi in enumerate(bits) for j, bj in enumerate(bits)
+    }
     l = 2 * lf - s
-    table, total = _pair_table(tn, tm, lf, lf)
-    hosts = {mask_to_code_bits(l, g.mask): g for g in _enumerate_unchecked(l)}
-    out = FlagVector(0, l)
-    for host_bits, counts in table.items():
-        acc = 0
-        for (b1, b2), cnt in counts.items():
-            i = index.get(b1)
-            j = index.get(b2)
-            if i is not None and j is not None:
-                acc = acc + matrix[i][j] * cnt
-        if acc:
-            out.add(Flag(hosts[host_bits], 0), acc * Fraction(1, total))
-    return out
+    return _expand(_count_table(tn, tm, l, (lf, lf)), 0, l, weights)
 
 
 def bilinear_expansion(v1: FlagVector, v2: FlagVector) -> FlagVector:
@@ -347,19 +339,9 @@ def bilinear_expansion(v1: FlagVector, v2: FlagVector) -> FlagVector:
     if v1.labels or v2.labels:
         raise ValueError("bilinear expansion expects label-free vectors")
     l = v1.order + v2.order
-    table, total = _pair_table(0, 0, v1.order, v2.order)
-    hosts = {mask_to_code_bits(l, g.mask): g for g in _enumerate_unchecked(l)}
-    out = FlagVector(0, l)
-    for host_bits, counts in table.items():
-        acc = 0
-        for (b1, b2), cnt in counts.items():
-            c1 = v1.coeffs.get(b1)
-            if c1 is None:
-                continue
-            c2 = v2.coeffs.get(b2)
-            if c2 is None:
-                continue
-            acc = acc + c1 * c2 * cnt
-        if acc:
-            out.add(Flag(hosts[host_bits], 0), acc * Fraction(1, total))
-    return out
+    weights = {
+        (b1, b2): c1 * c2
+        for b1, c1 in v1.coeffs.items()
+        for b2, c2 in v2.coeffs.items()
+    }
+    return _expand(_count_table(0, 0, l, (v1.order, v2.order)), 0, l, weights)

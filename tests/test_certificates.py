@@ -1,11 +1,15 @@
 """Certificate parsing, verification, goldens, and soundness checks."""
 
 import dataclasses
+import hashlib
+import io
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from flagcert import flags
 from flagcert.certificates import (
     certificate_expansion,
     compare_with_golden,
@@ -17,8 +21,17 @@ from flagcert.certificates import (
     verify_parametric_certificate,
 )
 from flagcert.constructions import BlowupModel, blowup_density, model_value
+from flagcert.cli import main
 from flagcert.flags import Flag, lift
-from flagcert.graphs import SmallGraph, complete, emit_paircode, parse_paircode, turan
+from flagcert.graphs import (
+    SmallGraph,
+    _enumerate_unchecked,
+    complete,
+    emit_paircode,
+    mask_to_code_bits,
+    parse_paircode,
+    turan,
+)
 
 K221 = turan(3, 5)
 
@@ -158,6 +171,35 @@ def test_broken_multiplier_fails():
     assert not report.passed
     assert report.max_coefficient > Fraction(4495, 100)
 
+
+
+# Soundness mutants: one coefficient without slack, nudged.  k3 and k4
+# meet their bounds exactly (max scaled coefficient 10 and 45), so moving
+# a square multiplier by about one part in a million either way pushes
+# some coefficient over.  lemma074 clears its strict bound 44.95 by about
+# 0.0037, which one unit in the last printed digit of a multiplier uses up.
+SOUNDNESS_MUTANTS = [
+    ("k3.cert", "multiplier: 20/9", "multiplier: 2000001/900000"),
+    ("k3.cert", "multiplier: 20/9", "multiplier: 1999999/900000"),
+    ("k4.cert", "multiplier: 15/256", "multiplier: 15000001/256000000"),
+    ("k4.cert", "multiplier: 15/256", "multiplier: 14999999/256000000"),
+    ("lemma074.cert", "multiplier: 14.509", "multiplier: 14.510"),
+    ("lemma074.cert", "multiplier: 0.444", "multiplier: 0.445"),
+    ("lemma074.cert", "multiplier: 0.444", "multiplier: 0.443"),
+]
+
+
+@pytest.mark.parametrize("name,old,new", SOUNDNESS_MUTANTS)
+def test_nudged_coefficient_fails(name, old, new, capsys, monkeypatch):
+    text = _bundled_text(name)
+    assert text.count(old) == 1
+    mutant = text.replace(old, new)
+    report = verify_density_certificate(parse_certificate(mutant))
+    assert report.verdict == "FAIL"
+    assert any("violates" in f for f in report.failures)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(mutant))
+    assert main(["verify", "--cert", "-"]) == 1
+    assert "\nverdict=FAIL\n" in capsys.readouterr().out
 
 def test_negative_multiplier_rejected():
     # rejected at load time,
@@ -392,3 +434,47 @@ def test_lemma074_linear_term_vanishes_at_pinned_density():
     # at any other density the term is generically nonzero
     uniform = BlowupModel(complete(5), (Fraction(1, 5),) * 5)
     assert model_value(uniform, certificate_expansion(linear_only)) != 0
+
+
+# ---------------------------------------------------------------------------
+# frozen expansions
+
+# sha256 of the full expansion of each bundled certificate, recorded before
+# lift, unlabel and the pair expansions moved to one count table.  The text
+# hashed is one line per isomorphism class of the expansion order, in
+# canonical-code order:
+#     "<canonical code> <coefficient>\n"
+# where <canonical code> is the class's packed canonical code as a decimal
+# integer (graphs.mask_to_code_bits of the canonical form) and
+# <coefficient> is str() of expansion.coefficient(...): "0" when the class
+# is absent, a Fraction as "p/q", a RationalFunction as "RF(...)".
+EXPANSION_DIGESTS = {
+    "k3": "d8d21dbba45753caab3be6eebe0fda66186b6bfb3d900e0b70ac216e51503f51",
+    "k4": "f4c909e96a84a48decb612bc8138a0fed4e05f21510441da8b6ce2efab271a53",
+    "lemma074": "59c7cba112460879aca2494b2bf7001587bd89edaf8efdf7fe873dbf71a4c0e0",
+    "appendixA": "0824f45277c21bdc6eebff3a29444cf289bb9d2c947220b20f4f6e18ce1cd1ac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_DIGESTS))
+def test_certificate_expansions_are_frozen(name):
+    cert = load_certificate(name + ".cert")
+    expansion = certificate_expansion(cert)
+    l = cert.expansion_order
+    text = "".join(
+        f"{mask_to_code_bits(l, g.mask)} {expansion.coefficient(Flag(g, 0))}\n"
+        for g in _enumerate_unchecked(l)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPANSION_DIGESTS[name]
+
+
+def test_count_table_cache_is_bounded_and_holds_the_bundle():
+    table = flags._count_table
+    assert table.cache_info().maxsize == flags.TABLE_CACHE_SIZE
+    table.cache_clear()
+    for name in ("k3", "k4", "lemma074", "appendixA"):
+        assert verify_certificate(load_certificate(name + ".cert")).passed
+    info = table.cache_info()
+    # every table the bundle needs stays cached: none is built twice
+    assert info.currsize == info.misses <= info.maxsize
+    assert info.hits > 0

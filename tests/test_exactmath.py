@@ -434,3 +434,48 @@ def test_rational_function_ops_match_sympy_cancel(r, s):
         results.append((r / s, expr(r) / expr(s)))
     for got, want in results:
         assert (got.num.coeffs, got.den.coeffs) == _sympy_normal_form(want)
+
+
+@st.composite
+def exact_symmetric_matrices(draw):
+    """Small symmetric rational matrices, many of them singular.
+
+    A Gram matrix A^T A of a random r x n matrix A is PSD of rank <= r, so
+    r < n gives singular and rank-deficient PSD matrices; shifting one of
+    its diagonal entries by a small rational either way lands just inside
+    or just outside the PSD cone; a plain symmetric matrix, often with zeros
+    on its diagonal, is either.
+    """
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["gram", "shifted", "symmetric"]))
+    if kind == "symmetric":
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = draw(st.just(Fraction(0)) | small_rationals)
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(small_rationals)
+        return rows
+    r = draw(st.integers(0, n))
+    a = [[draw(small_rationals) for _ in range(n)] for _ in range(r)]
+    rows = [
+        [sum((a[t][i] * a[t][j] for t in range(r)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    if kind == "shifted":
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] += draw(st.sampled_from([Fraction(-1, 50), Fraction(1, 50), Fraction(-1)]))
+    return rows
+
+
+@given(exact_symmetric_matrices())
+def test_psd_check_matches_sympy(rows):
+    sp = pytest.importorskip("sympy")
+    m = SymMatrix.from_rows(rows)
+    expected = sp.Matrix(
+        [[sp.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    ).is_positive_semidefinite
+    res = psd_check(m)
+    assert res.psd == expected
+    assert res.verify(m)
+    if not res.psd:
+        assert m.quadratic_form(res.witness) < 0

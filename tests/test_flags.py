@@ -6,11 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcert.constructions import BlowupModel, model_value
-from flagcert.exactmath import SymMatrix, psd_check
+from flagcert.exactmath import KPolynomial, RationalFunction, SymMatrix, psd_check
 from flagcert.flags import (
     Flag,
     FlagVector,
@@ -251,8 +251,58 @@ def test_lift_coefficients_are_densities():
 def test_lift_same_order_is_identity():
     v = FlagVector(0, 4)
     v.add(Flag(C4, 0), Fraction(7, 2))
+    v.add(Flag(complete(4), 0), Fraction(0))
     same = lift(v, 4)
     assert same.coefficient(Flag(C4, 0)) == Fraction(7, 2)
+    # a fresh vector without the zero coefficient, over the enumerated
+    # canonical forms; changing it leaves the input alone
+    assert same is not v
+    assert [(f.canonical_bits(), c) for f, c in same.items()] == [
+        (Flag(C4, 0).canonical_bits(), Fraction(7, 2))
+    ]
+    assert all(f.graph in enumerate_graphs(4) for f, _ in same.items())
+    before = sorted(v.coeffs.items())
+    same.add(Flag(C4, 0), Fraction(1))
+    same.add(Flag(empty(4), 0), Fraction(1))
+    assert sorted(v.coeffs.items()) == before
+
+
+_K = KPolynomial([0, 1])
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+rf_coefficients = st.tuples(small_fractions, small_fractions, small_fractions).map(
+    lambda t: RationalFunction(t[0] + t[1] * _K, _K + t[2])
+)
+
+
+@st.composite
+def label_free_vectors(draw):
+    m = draw(st.integers(1, 6))
+    l = draw(st.integers(m, 6))
+    basis = flag_basis(None, m)
+    picks = draw(st.lists(st.integers(0, len(basis) - 1), min_size=1, max_size=4))
+    coeffs = small_fractions if draw(st.booleans()) else rf_coefficients
+    v = FlagVector(0, m)
+    for i in picks:
+        v.add(basis[i], draw(coeffs | st.just(Fraction(0))))
+    return v, l
+
+
+@settings(max_examples=40, deadline=None)
+@given(label_free_vectors())
+def test_lift_matches_density_definition(case):
+    v, l = case
+    expected = {}
+    for g in enumerate_graphs(l):
+        acc = 0
+        for f, c in v.items():
+            acc = acc + c * induced_density(f.graph, g)
+        if acc != 0:  # a RationalFunction is truthy even when zero
+            expected[Flag(g, 0).canonical_bits()] = acc
+    before = sorted(v.coeffs.items())
+    lifted = lift(v, l)
+    assert lifted is not v and lifted.order == l and lifted.labels == 0
+    assert {f.canonical_bits(): c for f, c in lifted.items()} == expected
+    assert sorted(v.coeffs.items()) == before
 
 
 def test_lift_preserves_model_value():
