@@ -118,11 +118,6 @@ class SquareTerm:
     psd_condition: KPolynomial | None
     psd_condition_factor: RationalFunction | None
 
-    def inner_order(self) -> int:
-        if self.vector is not None:
-            return len(self.vector)
-        return len(self.matrix)
-
     def full_matrix(self) -> list[list]:
         """The matrix the expansion actually uses, congruence applied."""
         if self.vector is not None:
@@ -354,6 +349,7 @@ def parse_certificate(text: str) -> Certificate:
                 for j in range(i):
                     if matrix[i][j] != matrix[j][i]:
                         raise ValueError("matrix is not symmetric")
+        inner = len(vector) if vector is not None else len(matrix)
         if "congruence-row" in body:
             congruence = tuple(
                 tuple(parse_value(v, parametric) for v in _split_entries(r))
@@ -362,10 +358,9 @@ def parse_certificate(text: str) -> Certificate:
             width = {len(r) for r in congruence}
             if len(width) != 1:
                 raise ValueError("ragged congruence")
-            inner = len(vector) if vector is not None else len(matrix)
             if width.pop() != inner or len(congruence) != len(flags):
                 raise ValueError("congruence shape does not match")
-        elif (len(vector) if vector is not None else len(matrix)) != len(flags):
+        elif inner != len(flags):
             raise ValueError("matrix order does not match flag count")
 
         psd_condition = psd_factor = None
@@ -612,17 +607,16 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
         _rf_nonneg(st.multiplier, k0, f"square term {i} multiplier", failures)
         if st.vector is not None:
             continue  # v v^T is PSD whenever the multiplier is nonnegative
-        n = len(st.matrix)
-        for d in range(n):
-            _rf_nonneg(st.matrix[d][d], k0, f"square term {i} diagonal [{d}]",
-                       failures)
+        m = st.matrix
+        for d in range(len(m)):
+            _rf_nonneg(m[d][d], k0, f"square term {i} diagonal [{d}]", failures)
+        det = m[0][0] * m[1][1] - m[0][1] * m[0][1] if len(m) == 2 else None
         if st.psd_condition is not None:
-            if n != 2:
+            if det is None:
                 failures.append(
                     f"square term {i}: psd-condition requires a 2x2 matrix"
                 )
                 continue
-            det = st.matrix[0][0] * st.matrix[1][1] - st.matrix[0][1] * st.matrix[0][1]
             claimed = st.psd_condition_factor * RationalFunction(st.psd_condition)
             if det != claimed:
                 failures.append(
@@ -647,8 +641,7 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
                     f"{st.psd_condition.pretty()} is negative on [{k0}, oo)"
                     + (f" (largest root ~{float(psd_root):.7f})" if psd_root else "")
                 )
-        elif n == 2:
-            det = st.matrix[0][0] * st.matrix[1][1] - st.matrix[0][1] * st.matrix[0][1]
+        elif det is not None:
             _rf_nonneg(det, k0, f"square term {i} determinant", failures)
         else:
             failures.append(

@@ -2,11 +2,13 @@
 
 Everything here is exact.  Polynomials in one variable k are immutable
 tuples of Fraction coefficients in ascending order.  Sign questions on
-rays [k0, inf) are settled by Sturm root counting on the squarefree
-part.  Each chain is built once per question, as primitive integer
-polynomials by a pseudo-remainder sequence, and its signs at a rational
-point are read off by integer Horner steps.  Symmetric matrices over Q
-are classified PSD / not-PSD with a checkable witness either way.
+rays [k0, inf) are settled by Sturm root counting, on the integer
+odd-multiplicity part when the question is nonnegativity.  Every gcd
+and exact division runs on primitive integer polynomials.  Each chain
+is built once per question by a pseudo-remainder sequence, and its
+signs at a rational point are read off by integer Horner steps.
+Symmetric matrices over Q are classified PSD / not-PSD with a checkable
+witness either way.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class KPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def leading(self) -> Fraction:
@@ -141,42 +146,6 @@ class KPolynomial:
             b = b * b
             e >>= 1
         return out
-
-    def __divmod__(self, other) -> tuple["KPolynomial", "KPolynomial"]:
-        other = _require_poly(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lc = other.leading
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[shift] = f
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= f * c
-            rem.pop()
-        return KPolynomial(q), KPolynomial(rem)
-
-    def __floordiv__(self, other) -> "KPolynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "KPolynomial":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other) -> "KPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
-
-    def derivative(self) -> "KPolynomial":
-        return KPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "KPolynomial":
         if self.is_zero:
@@ -302,6 +271,18 @@ def _int_squarefree(a: list[int]) -> list[int]:
     return _int_exact_div(a, _int_gcd(a, _int_derivative(a)))
 
 
+def _int_odd_part(a: list[int]) -> list[int]:
+    """The product of the factors of odd multiplicity in a, each once.
+
+    g = gcd(a, a') holds every factor once less than a, so a / g holds
+    each once and odd(a) = (a / g) / odd(g).
+    """
+    if len(a) <= 1:
+        return [1]
+    g = _int_gcd(a, _int_derivative(a))
+    return _int_exact_div(_int_exact_div(a, g), _int_odd_part(g))
+
+
 def poly_gcd(a: KPolynomial, b: KPolynomial) -> KPolynomial:
     """Monic gcd, computed by a primitive pseudo-remainder sequence."""
     if a.is_zero:
@@ -316,42 +297,6 @@ def squarefree_part(p: KPolynomial) -> KPolynomial:
     if p.is_zero:
         return p
     return KPolynomial(_int_squarefree(_int_poly(p))).monic()
-
-
-def squarefree_decomposition(p: KPolynomial) -> list[tuple[int, KPolynomial]]:
-    """Yun's algorithm: p = lc * prod f_i^i with the f_i squarefree, coprime.
-
-    Returns the (i, f_i) pairs with deg f_i > 0.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    out = []
-    g = poly_gcd(p, p.derivative())
-    b = p.exact_div(g)
-    c = p.derivative().exact_div(g)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            out.append((i, a))
-            b = b.exact_div(a)
-            d = d.exact_div(a)
-        c = d
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
-def _odd_multiplicity_part(p: KPolynomial) -> KPolynomial:
-    out = KPolynomial.constant(1)
-    for i, f in squarefree_decomposition(p):
-        if i % 2:
-            out = out * f
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +456,10 @@ def nonneg_on_ray(p: KPolynomial, k0) -> bool:
         return p.coeffs[0] >= 0
     if p.leading < 0 or p(k0) < 0:
         return False
-    odd = _odd_multiplicity_part(p)
-    if odd.degree <= 0:
+    odd = _int_odd_part(_int_poly(p))
+    if len(odd) <= 1:
         return True
-    return count_real_roots(odd, lower=k0) == 0
+    return count_real_roots(KPolynomial(odd), lower=k0) == 0
 
 
 def positive_on_ray(p: KPolynomial, k0) -> bool:
@@ -576,6 +521,9 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
 
     @property
     def is_polynomial(self) -> bool:

@@ -274,13 +274,19 @@ def flag_product(f1: Flag, f2: Flag) -> FlagVector:
 
 
 def unlabel(vec: FlagVector) -> FlagVector:
-    """Average over label placements; lands in the label-free algebra."""
+    """Average over label placements; lands in the label-free algebra.
+
+    Raises ValueError when the flags of ``vec`` carry different types.
+    """
     s, l = vec.labels, vec.order
     if s == 0:
         return vec
     if not vec.coeffs:
         return FlagVector(0, l)
-    tn, tm = _type_key(vec._flags[min(vec.coeffs)].type_graph())
+    types = {_type_key(f.type_graph()) for f in vec._flags.values()}
+    if len(types) > 1:
+        raise ValueError("unlabel expects flags of one type")
+    ((tn, tm),) = types
     weights = {(b,): c for b, c in vec.coeffs.items()}
     return _expand(_count_table(tn, tm, l, (l,)), 0, l, weights)
 

@@ -496,15 +496,7 @@ def from_graph6(text: str) -> SmallGraph:
     pad = -m % 6
     if bits & (1 << pad) - 1:
         raise ValueError("nonzero padding bits in graph6 string")
-    bits >>= pad
-    mask = 0
-    t = m
-    for j in range(n):
-        for i in range(j):
-            t -= 1
-            if bits >> t & 1:
-                mask |= 1 << _pair_index(i, j)
-    return SmallGraph(n, mask)
+    return SmallGraph(n, _code_to_mask(n, bits >> pad))
 
 
 def parse_graph(text: str) -> SmallGraph:

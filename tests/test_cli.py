@@ -290,6 +290,19 @@ def test_threads_env_garbage_rejected(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("oracle", "--h", K221_CODE, "--n", "6"), ("scan", "--k", "3,4,5", "--nmax", "20")],
+)
+def test_parallel_output_matches_serial(capsys, monkeypatch, argv):
+    # at most two worker processes: the setting and the CPU count are both 2
+    serial = run(capsys, *argv)
+    monkeypatch.setenv("FLAGCERT_THREADS", "2")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._threads() == 2
+    assert run(capsys, *argv) == serial and serial[0] == 0
+
+
+@pytest.mark.parametrize(
     "raw, cpus, want",
     [("1000000", 4, 4), ("3", 4, 3), ("0", 4, 1), ("-7", 2, 1), ("8", None, 1)],
 )

@@ -12,6 +12,8 @@ from flagcert.exactmath import (
     RationalFunction,
     RootBracket,
     SymMatrix,
+    _int_odd_part,
+    _int_poly,
     cauchy_bound,
     count_real_roots,
     isolate_largest_real_root,
@@ -63,15 +65,12 @@ def test_ring_identities(p, q, r):
     assert (p * q)(Fraction(3, 2)) == p(Fraction(3, 2)) * q(Fraction(3, 2))
 
 
-@given(polys(3), polys(2))
-def test_divmod_reconstructs(p, q):
-    if q.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            divmod(p, q)
-        return
-    quo, rem = divmod(p, q)
-    assert quo * q + rem == p
-    assert rem.is_zero or rem.degree < q.degree
+def test_zero_values_are_falsy():
+    k = KPolynomial.variable()
+    assert not KPolynomial() and not KPolynomial([0, 0])
+    r = RationalFunction(1, k)
+    assert not RationalFunction(0) and not r - r
+    assert KPolynomial([Fraction(1, 2)]) and k and r
 
 
 def test_scalar_promotion():
@@ -344,6 +343,33 @@ def _sympy_open_count(p: KPolynomial, lower, upper) -> int:
             for e in (lower, upper)]
     n = poly.count_roots(*ends)  # closed interval, distinct roots
     return n - sum(e is not None and poly.eval(e) == 0 for e in ends)
+
+
+@st.composite
+def factor_products(draw):
+    """A random sign times f_1^m_1 ... f_r^m_r, integer f_i, m_i in 1..4."""
+    p = KPolynomial.constant(draw(st.sampled_from([1, -1])))
+    for _ in range(draw(st.integers(0, 3))):
+        f = KPolynomial(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=3)))
+        if f.degree > 0:
+            p = p * f ** draw(st.integers(1, 4))
+    return p
+
+
+@given(factor_products(), rationals)
+def test_odd_part_and_nonneg_on_ray_match_sympy_sqf_list(p, k0):
+    _, factors = _sympy_poly(p).sqf_list()
+    odd = KPolynomial([1])
+    for f, m in factors:
+        if m % 2:
+            cs = reversed(f.all_coeffs())
+            odd = odd * KPolynomial([Fraction(int(c.p), int(c.q)) for c in cs])
+    assert KPolynomial(_int_odd_part(_int_poly(p))).monic() == odd.monic()
+    want = p(k0) >= 0 and (
+        p.degree == 0
+        or p.leading > 0 and (odd.degree == 0 or _sympy_open_count(odd, k0, None) == 0)
+    )
+    assert nonneg_on_ray(p, k0) == want
 
 
 def _reference_bracket(p: KPolynomial, precision: Fraction) -> RootBracket:

@@ -235,6 +235,15 @@ def test_unlabel_preserves_total_density_weight():
     assert len(list(u.items())) == 4
 
 
+def test_unlabel_rejects_mixed_types():
+    # labels adjacent and labels apart: two types in one vector
+    v = FlagVector(2, 3)
+    v.add(Flag(parse_paircode("2 1 1"), 2), Fraction(1))
+    v.add(Flag(parse_paircode("1 1 1"), 2), Fraction(1))
+    with pytest.raises(ValueError, match="one type"):
+        unlabel(v)
+
+
 # ---------------------------------------------------------------------------
 # lifting
 

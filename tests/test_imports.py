@@ -1,0 +1,30 @@
+"""The library has no runtime dependencies: it imports only the standard
+library and its own modules, by relative import."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "flagcert"
+
+
+def _absolute_imports(path: Path):
+    """(line, top-level module) of every non-relative import in the file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_library_imports_only_stdlib_or_relative():
+    modules = sorted(SRC.rglob("*.py"))
+    assert {"cli.py", "exactmath.py", "flags.py"} <= {p.name for p in modules}
+    outside = [
+        f"{path.relative_to(SRC)}:{line} imports {name}"
+        for path in modules
+        for line, name in _absolute_imports(path)
+        if name not in sys.stdlib_module_names
+    ]
+    assert outside == []
