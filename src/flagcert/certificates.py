@@ -9,7 +9,10 @@ the expansion of
 over the label-free basis of ``expansion-order`` must have every
 coefficient, times ``scale``, at most ``bound`` (strictly, if declared).
 Square terms are nonnegative when M is PSD and the multiplier is
-nonnegative; linear terms vanish (numeric kind) or are nonnegative
+nonnegative.  One pivoted LDL^T (``exactmath.psd_check``) decides every
+matrix block, of any size: over Q for the numeric kind, over Q(k) on the
+ray [k0, oo) for the parametric kind, where no entry may have a pole on
+the ray.  Linear terms vanish (numeric kind) or are nonnegative
 (parametric kind) under the certificate's edge-density assumption, so a
 verified expansion bounds the target density by bound/scale.
 
@@ -32,10 +35,11 @@ Square blocks: ``labels`` (type size), ``type`` (paircode of the labeled
 type, ``-`` when labels is 0), ``multiplier``, ``flags`` (paircodes,
 ``;``-separated), then either ``vector`` (rank-one square) or repeated
 ``row`` lines (full matrix).  Optional ``congruence-row`` lines give a
-rectangular B so the expanded matrix is B M B^T.  Parametric matrix
-blocks may declare ``psd-condition`` (a polynomial P) together with
-``psd-condition-factor`` (a positive quotient q with det M = q * P), so
-PSD-ness on the ray reduces to P >= 0 there.
+rectangular B so the expanded matrix is B M B^T.  A parametric 2x2
+matrix block may declare ``psd-condition`` (a polynomial P) together
+with ``psd-condition-factor`` (a positive quotient q with det M = q * P)
+as an optional cross-check: the verifier checks the identity, the sign
+of q and P >= 0 on the ray, and reports P's largest root.
 """
 
 from __future__ import annotations
@@ -523,12 +527,9 @@ def verify_density_certificate(cert: Certificate) -> VerificationReport:
     for i, st in enumerate(cert.square_terms):
         if st.multiplier < 0:
             failures.append(f"square term {i}: negative multiplier {st.multiplier}")
-        m = SymMatrix.from_rows(st.full_matrix())
-        res = psd_check(m)
-        if not res.psd:
-            failures.append(f"square term {i}: matrix is not PSD")
-        elif not res.verify(m):
-            failures.append(f"square term {i}: PSD witness failed to verify")
+        problem = _psd_failure(st.full_matrix(), lambda d: d >= 0, "")
+        if problem:
+            failures.append(f"square term {i}: {problem}")
 
     expansion = certificate_expansion(cert)
     coefficients: dict[str, Fraction] = {}
@@ -575,6 +576,29 @@ def verify_density_certificate(cert: Certificate) -> VerificationReport:
     )
 
 
+def _psd_failure(rows, nonneg, where: str) -> str | None:
+    """Why one square block is not PSD under ``nonneg``, or None if it is."""
+    m = SymMatrix.from_rows(rows)
+    res = psd_check(m, nonneg)
+    if not res.verify(m, nonneg):
+        return "PSD witness failed to verify"
+    if not res.psd:
+        return f"matrix is not PSD{where}"
+    return None
+
+
+def _ray_nonneg(k0: Fraction):
+    """Pivot predicate over Q(k): zero, or nonnegative on [k0, oo)."""
+
+    def nonneg(d) -> bool:
+        try:
+            return d == 0 or rf_nonneg_on_ray(d, k0)
+        except ValueError:  # a pole on the ray leaves no sign to certify
+            return False
+
+    return nonneg
+
+
 def _rf_nonneg(value, k0: Fraction, what: str, failures: list[str]) -> None:
     try:
         ok = rf_nonneg_on_ray(value, k0)
@@ -603,20 +627,16 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
             )
 
     psd_root = None
+    nonneg = _ray_nonneg(k0)
     for i, st in enumerate(cert.square_terms):
         _rf_nonneg(st.multiplier, k0, f"square term {i} multiplier", failures)
-        if st.vector is not None:
-            continue  # v v^T is PSD whenever the multiplier is nonnegative
         m = st.matrix
-        for d in range(len(m)):
-            _rf_nonneg(m[d][d], k0, f"square term {i} diagonal [{d}]", failures)
-        det = m[0][0] * m[1][1] - m[0][1] * m[0][1] if len(m) == 2 else None
-        if st.psd_condition is not None:
-            if det is None:
-                failures.append(
-                    f"square term {i}: psd-condition requires a 2x2 matrix"
-                )
-                continue
+        condition_holds = True
+        if st.psd_condition is not None and (m is None or len(m) != 2):
+            failures.append(f"square term {i}: psd-condition requires a 2x2 matrix")
+        elif st.psd_condition is not None:
+            # optional cross-check: det M = factor * P with P >= 0 on the ray
+            det = m[0][0] * m[1][1] - m[0][1] * m[0][1]
             claimed = st.psd_condition_factor * RationalFunction(st.psd_condition)
             if det != claimed:
                 failures.append(
@@ -635,19 +655,22 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
                 ).midpoint
             except ValueError:
                 psd_root = None
-            if not nonneg_on_ray(st.psd_condition, k0):
+            condition_holds = nonneg_on_ray(st.psd_condition, k0)
+            if not condition_holds:
                 failures.append(
                     f"square term {i}: psd condition polynomial "
                     f"{st.psd_condition.pretty()} is negative on [{k0}, oo)"
                     + (f" (largest root ~{float(psd_root):.7f})" if psd_root else "")
                 )
-        elif det is not None:
-            _rf_nonneg(det, k0, f"square term {i} determinant", failures)
-        else:
-            failures.append(
-                f"square term {i}: matrices larger than 2x2 need a "
-                "declared psd-condition"
-            )
+        if m is None:
+            continue  # v v^T is PSD whenever the multiplier is nonnegative
+        # the denominators are monic: positive on the ray iff no root there
+        if not all(positive_on_ray(e.den, k0) for row in m for e in row):
+            failures.append(f"square term {i}: matrix entry has a pole on [{k0}, oo)")
+        elif condition_holds:
+            problem = _psd_failure(m, nonneg, f" on [{k0}, oo)")
+            if problem:
+                failures.append(f"square term {i}: {problem}")
 
     expansion = certificate_expansion(cert)
     scale_rf = RationalFunction(cert.scale)
@@ -666,13 +689,17 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
             continue
         poly = deficit.as_polynomial()
         coefficients[code] = poly
-        if poly.is_zero:
-            zero.append(code)
-            continue
-        if not nonneg_on_ray(poly, k0):
+        if poly and not nonneg_on_ray(poly, k0):
             failures.append(
                 f"deficit {poly.pretty()} at {code} is negative on [{k0}, oo)"
             )
+        elif cert.strict and not positive_on_ray(poly, k0):
+            failures.append(
+                f"deficit {poly.pretty()} at {code} is not positive on [{k0}, oo)"
+            )
+        if poly.is_zero:
+            zero.append(code)
+            continue
         try:
             roots[code] = isolate_largest_real_root(
                 poly, Fraction(1, 10**9)

@@ -7,8 +7,8 @@ odd-multiplicity part when the question is nonnegativity.  Every gcd
 and exact division runs on primitive integer polynomials.  Each chain
 is built once per question by a pseudo-remainder sequence, and its
 signs at a rational point are read off by integer Horner steps.
-Symmetric matrices over Q are classified PSD / not-PSD with a checkable
-witness either way.
+One pivoted LDL^T classifies symmetric matrices of any size over Q, or
+over Q(k) on a ray, as PSD / not-PSD with a checkable witness either way.
 """
 
 from __future__ import annotations
@@ -615,6 +615,7 @@ def rf_nonneg_on_ray(r: RationalFunction, k0) -> bool:
 
     Raises ValueError if the denominator vanishes somewhere on the ray.
     """
+    r = _require_rf(r)
     den = r.den
     if den.degree > 0 and count_real_roots(den, lower=k0) > 0 or den(k0) == 0:
         raise ValueError(
@@ -628,15 +629,22 @@ def rf_nonneg_on_ray(r: RationalFunction, k0) -> bool:
 # exact symmetric PSD check
 
 
+def _rational_nonneg(d) -> bool:
+    return d >= 0
+
+
 @dataclass(frozen=True)
 class SymMatrix:
-    """Symmetric matrix over Q (entries validated on construction)."""
+    """Symmetric matrix over Q or Q(k) (entries validated on construction)."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple, ...]
 
     @staticmethod
     def from_rows(rows) -> "SymMatrix":
-        ent = tuple(tuple(frac(x) for x in row) for row in rows)
+        ent = tuple(
+            tuple(x if isinstance(x, RationalFunction) else frac(x) for x in row)
+            for row in rows
+        )
         n = len(ent)
         if any(len(row) != n for row in ent):
             raise ValueError("matrix is not square")
@@ -650,8 +658,7 @@ class SymMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def quadratic_form(self, v: Sequence) -> Fraction:
-        v = [frac(x) for x in v]
+    def quadratic_form(self, v: Sequence):
         return sum(
             self.entries[i][j] * v[i] * v[j]
             for i in range(self.order)
@@ -663,23 +670,23 @@ class SymMatrix:
 class PSDResult:
     """Outcome of an exact LDL^T factorization attempt.
 
-    PSD case: perm, unit lower-triangular factor and nonnegative pivots
-    with P M P^T = L D L^T.  Failure case: rational witness vector with
-    witness^T M witness < 0.
+    PSD case: perm, unit lower-triangular factor and pivots accepted by
+    the sign predicate, with P M P^T = L D L^T.  Failure case: witness
+    vector whose value witness^T M witness the predicate rejects.
     """
 
     psd: bool
     perm: tuple[int, ...] | None = None
-    lower: tuple[tuple[Fraction, ...], ...] | None = None
-    diag: tuple[Fraction, ...] | None = None
-    witness: tuple[Fraction, ...] | None = None
+    lower: tuple[tuple, ...] | None = None
+    diag: tuple | None = None
+    witness: tuple | None = None
 
-    def verify(self, m: SymMatrix) -> bool:
+    def verify(self, m: SymMatrix, nonneg=_rational_nonneg) -> bool:
         """Re-check the stored evidence against the matrix."""
         n = m.order
         if not self.psd:
-            return m.quadratic_form(self.witness) < 0
-        if any(d < 0 for d in self.diag):
+            return not nonneg(m.quadratic_form(self.witness))
+        if not all(nonneg(d) for d in self.diag):
             return False
         p, lo = self.perm, self.lower
         for i in range(n):
@@ -693,10 +700,17 @@ class PSDResult:
         return True
 
 
-def psd_check(m: SymMatrix) -> PSDResult:
-    """Exact PSD decision by pivoted LDL^T over Q."""
+def psd_check(m: SymMatrix, nonneg=_rational_nonneg) -> PSDResult:
+    """Exact PSD decision by pivoted LDL^T over Q or Q(k).
+
+    Each step pivots on the first nonzero diagonal entry of the residual
+    block; ``nonneg`` decides its sign.  Over Q that is ``d >= 0``; over
+    Q(k) the caller passes nonnegativity on a ray, and the factorization
+    is an identity of rational functions.  A rejected pivot, or a zero
+    residual diagonal with a nonzero entry off it, yields a witness.
+    """
     n = m.order
-    a = [[m.entries[i][j] for j in range(n)] for i in range(n)]
+    a = [list(row) for row in m.entries]
     order = list(range(n))  # order[t] = original index at pivot slot t
     lower = [[Fraction(0)] * n for _ in range(n)]
     diag = [Fraction(0)] * n
@@ -704,18 +718,10 @@ def psd_check(m: SymMatrix) -> PSDResult:
         lower[t][t] = Fraction(1)
 
     for t in range(n):
-        piv = next((j for j in range(t, n) if a[j][j] > 0), None)
+        piv = next((j for j in range(t, n) if a[j][j]), None)
         if piv is None:
-            neg = next((j for j in range(t, n) if a[j][j] < 0), None)
-            if neg is not None:
-                return _lift_witness(n, t, {neg: Fraction(1)}, lower, order)
             off = next(
-                (
-                    (i, j)
-                    for i in range(t, n)
-                    for j in range(i + 1, n)
-                    if a[i][j] != 0
-                ),
+                ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]),
                 None,
             )
             if off is None:
@@ -728,6 +734,8 @@ def psd_check(m: SymMatrix) -> PSDResult:
                 lower,
                 order,
             )
+        if not nonneg(a[piv][piv]):
+            return _lift_witness(n, t, {piv: Fraction(1)}, lower, order)
         if piv != t:
             a[piv], a[t] = a[t], a[piv]
             for row in a:

@@ -8,9 +8,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagcert import flags
 from flagcert.certificates import (
+    _psd_failure,
+    _ray_nonneg,
     certificate_expansion,
     compare_with_golden,
     load_certificate,
@@ -22,6 +26,7 @@ from flagcert.certificates import (
 )
 from flagcert.constructions import BlowupModel, blowup_density, model_value
 from flagcert.cli import main
+from flagcert.exactmath import KPolynomial, RationalFunction
 from flagcert.flags import Flag, lift
 from flagcert.graphs import (
     SmallGraph,
@@ -264,6 +269,163 @@ def test_kind_dispatch_guards():
         verify_parametric_certificate(load_certificate("k3.cert"))
     with pytest.raises(ValueError):
         verify_density_certificate(load_certificate("appendixA.cert"))
+
+
+# ---------------------------------------------------------------------------
+# parametric matrix blocks: one pivoted LDL^T over Q(k)
+#
+# Each test appends one square block with multiplier 0 to appendixA: the
+# expansion is unchanged, so the verdict turns on the block's PSD check.
+
+THREE_FLAGS = "1 1 2 1 2 2 ; 1 1 1 1 1 1 ; 1 1 2 1 1 1"
+
+
+def _lit(p) -> str:
+    """A KPolynomial as an ascending coefficient-list literal."""
+    return "[" + ",".join(str(c) for c in p.coeffs) + "]" if p else "0"
+
+
+def _appendix_with_block(flags: str, body: str) -> str:
+    return _bundled_text("appendixA.cert") + (
+        f"begin square\nlabels: 3\ntype: 1 1 1\nmultiplier: 0\nflags: {flags}\n"
+        f"{body}end\n"
+    )
+
+
+def _matrix_body(rows) -> str:
+    return "".join("row: " + " ; ".join(map(str, r)) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "row, failures",
+    [("1", ()), ("-1", ("square term 2: matrix is not PSD on [5, oo)",))],
+)
+def test_parametric_1x1_block(row, failures):
+    text = _appendix_with_block("1 1 2 1 2 2", f"row: {row}\n")
+    report = verify_certificate(parse_certificate(text))
+    assert report.failures == failures
+
+
+def test_parametric_3x3_gram_block_passes():
+    # the Gram matrix of (k, 1), (1, 0), (0, 1): PSD of rank 2 for every k
+    rows = [["[1,0,1]", "[0,1]", 1], ["[0,1]", 1, 0], [1, 0, 1]]
+    text = _appendix_with_block(THREE_FLAGS, _matrix_body(rows))
+    assert verify_certificate(parse_certificate(text)).passed
+
+
+def _ldlt_rows(pivots):
+    """L diag(pivots) L^T for a fixed unit lower-triangular L over Z[k]."""
+    k = KPolynomial([0, 1])
+    one, zero = KPolynomial([1]), KPolynomial([])
+    lower = [[one, zero, zero], [k, one, zero], [one, KPolynomial([2]), one]]
+    return [
+        [
+            sum((lower[i][t] * pivots[t] * lower[j][t] for t in range(3)), zero)
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+# (10k - 51)(5k - 26): positive at k0 = 5 and from 26/5 on, negative between
+DIP = KPolynomial([-51, 10]) * KPolynomial([-26, 5])
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_parametric_3x3_pivot_dipping_below_zero_fails(slot):
+    sp = pytest.importorskip("sympy")
+    pivots = [KPolynomial([1])] * 3
+    pivots[slot] = DIP
+    rows = _ldlt_rows(pivots)
+    # the mutant really is indefinite just beyond k0
+    at = Fraction(103, 20)
+    assert not sp.Matrix(
+        [[sp.Rational(str(p(at))) for p in r] for r in rows]
+    ).is_positive_semidefinite
+    text = _appendix_with_block(
+        THREE_FLAGS, _matrix_body([[_lit(p) for p in r] for r in rows])
+    )
+    report = verify_certificate(parse_certificate(text))
+    assert report.failures == ("square term 2: matrix is not PSD on [5, oo)",)
+    # the same block is PSD once the ray starts past the dip
+    assert verify_certificate(parse_certificate(text), k0=Fraction(26, 5)).passed
+
+
+def test_parametric_matrix_entry_pole_fails():
+    rows = [[1, "[1]/[-6,1]"], ["[1]/[-6,1]", 1]]
+    text = _appendix_with_block("1 1 2 1 2 2 ; 1 1 1 1 1 1", _matrix_body(rows))
+    report = verify_certificate(parse_certificate(text))
+    assert report.failures == ("square term 2: matrix entry has a pole on [5, oo)",)
+
+
+def test_psd_condition_on_vector_block_fails():
+    text = _appendix_with_block(
+        "1 1 2 1 2 2 ; 1 1 1 1 1 1",
+        "vector: 1 ; 2\npsd-condition: [1]\npsd-condition-factor: 1\n",
+    )
+    report = verify_certificate(parse_certificate(text))
+    assert report.failures == ("square term 2: psd-condition requires a 2x2 matrix",)
+
+
+def test_psd_condition_failure_is_the_only_line_for_its_block():
+    # below the condition's largest root the P line names the failure
+    report = verify_certificate(load_certificate("appendixA.cert"), k0=3)
+    square_1 = [f for f in report.failures if f.startswith("square term 1")]
+    assert len(square_1) == 1 and "psd condition polynomial" in square_1[0]
+
+
+int_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(KPolynomial)
+linear_int_polys = st.lists(st.integers(-2, 2), min_size=1, max_size=2).map(
+    KPolynomial
+)
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """Symmetric 2x2 and 3x3 matrices over Z[k] with entries of degree <= 2.
+
+    A Gram matrix B B^T with B over Z[k] of degree <= 1 is PSD at every k;
+    shifting one of its diagonal entries may leave the cone; a plain
+    symmetric matrix is either.
+    """
+    n = draw(st.integers(2, 3))
+    zero = KPolynomial([])
+    if draw(st.booleans()):
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(int_polys)
+        return rows
+    r = draw(st.integers(1, n))
+    b = [[draw(linear_int_polys) for _ in range(r)] for _ in range(n)]
+    rows = [
+        [sum((b[i][t] * b[j][t] for t in range(r)), zero) for j in range(n)]
+        for i in range(n)
+    ]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = rows[i][i] + draw(int_polys)
+    return rows
+
+
+@given(
+    polynomial_matrices(),
+    st.fractions(min_value=-4, max_value=8, max_denominator=4),
+    st.lists(
+        st.fractions(min_value=0, max_value=20, max_denominator=10),
+        min_size=5,
+        max_size=5,
+    ),
+)
+def test_parametric_psd_verdict_matches_sympy_on_the_ray(rows, k0, offsets):
+    sp = pytest.importorskip("sympy")
+    entries = [[RationalFunction(p) for p in r] for r in rows]
+    if _psd_failure(entries, _ray_nonneg(k0), "") is not None:
+        return
+    for dk in offsets:
+        at = k0 + dk
+        m = sp.Matrix([[sp.Rational(str(p(at))) for p in r] for r in rows])
+        assert m.is_positive_semidefinite, (rows, k0, at)
 
 
 # ---------------------------------------------------------------------------

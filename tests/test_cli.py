@@ -273,6 +273,19 @@ def test_psd_condition_on_1x1_matrix_fails_cleanly(capsys, monkeypatch):
     assert "verdict=FAIL" in out
 
 
+def test_strict_parametric_certificate_fails_on_zero_deficits(capsys, monkeypatch):
+    text = _bundled_text("appendixA.cert").replace("strict: no", "strict: yes")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "verify", "--cert", "-")
+    assert code == 1 and "verdict=FAIL" in out
+    lines = out.splitlines()
+    zero_set = next(l for l in lines if l.startswith("zero set (8): "))
+    codes = zero_set.split(": ", 1)[1].split("; ")
+    assert [l for l in lines if l.startswith("FAIL:")] == [
+        f"FAIL: deficit 0 at {c} is not positive on [5, oo)" for c in codes
+    ]
+
+
 # ---------------------------------------------------------------------------
 # environment, argparse plumbing, determinism
 

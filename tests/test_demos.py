@@ -1,0 +1,33 @@
+"""Smoke test: every script under ``demos/`` runs to exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_three_demos_exist():
+    assert [d.name for d in DEMOS] == [
+        "counting_ground_truth.py",
+        "profile_and_bounds.py",
+        "verify_all_certificates.py",
+    ]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
+def test_demo_exits_zero(demo):
+    env = dict(os.environ)
+    env.pop("FLAGCERT_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

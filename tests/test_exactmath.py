@@ -294,6 +294,21 @@ def test_psd_fuzz_witnesses_always_verify(rows):
         assert m2.quadratic_form(res2.witness) < 0
 
 
+def test_psd_check_over_rational_functions():
+    k = RationalFunction(KPolynomial([0, 1]))
+
+    def on_ray(d):
+        return d == 0 or rf_nonneg_on_ray(d, 5)
+
+    m = SymMatrix.from_rows([[k, 1], [1, 1 / k]])  # rank one
+    res = psd_check(m, on_ray)
+    assert res.psd and res.verify(m, on_ray) and res.diag == (k, 0)
+    m = SymMatrix.from_rows([[1, 0], [0, k - 6]])  # negative on [5, 6)
+    res = psd_check(m, on_ray)
+    assert not res.psd and res.verify(m, on_ray)
+    assert m.quadratic_form(res.witness) == k - 6
+
+
 def test_symmatrix_validation():
     with pytest.raises(ValueError):
         SymMatrix.from_rows([[1, 2], [3, 4]])  # not symmetric
