@@ -602,8 +602,8 @@ def _ray_nonneg(k0: Fraction):
 def _rf_nonneg(value, k0: Fraction, what: str, failures: list[str]) -> None:
     try:
         ok = rf_nonneg_on_ray(value, k0)
-    except ValueError as e:
-        failures.append(f"{what}: {e}")
+    except ValueError:
+        failures.append(f"{what}: {value} has a pole on [{k0}, oo)")
         return
     if not ok:
         failures.append(f"{what}: {value} is negative somewhere on [{k0}, oo)")

@@ -66,6 +66,12 @@ class Flag:
             return None
         return self.graph.induced(tuple(range(self.labels)))
 
+    @property
+    def type_mask(self) -> int:
+        """Edge mask of the type: the pairs among the labelled vertices."""
+        s = self.labels
+        return self.graph.mask & (1 << s * (s - 1) // 2) - 1
+
     def canonical_bits(self) -> int:
         return _flag_bits(self.graph.n, self.graph.mask, self.labels)
 
@@ -116,6 +122,8 @@ class FlagVector:
 
     Coefficients are any exact ring elements (Fraction, RationalFunction).
     Keys are flag canonical codes; ``support`` recovers Flag objects.
+    ``add`` and ``+`` reject a flag whose labelled vertices induce a
+    different type from the flags already held.
     """
 
     __slots__ = ("labels", "order", "coeffs", "_flags")
@@ -134,10 +142,19 @@ class FlagVector:
                 f"flag {flag} does not live in (labels={self.labels}, "
                 f"order={self.order})"
             )
+        held = self._type_mask()
+        if held is not None and flag.type_mask != held:
+            raise ValueError(f"flag {flag} has another type than the vector's flags")
         bits = flag.canonical_bits()
         self._flags.setdefault(bits, flag)
         cur = self.coeffs.get(bits, 0) + c
         self.coeffs[bits] = cur
+
+    def _type_mask(self) -> int | None:
+        """Type mask shared by the held flags; None while there are none."""
+        for flag in self._flags.values():
+            return flag.type_mask
+        return None
 
     def items(self):
         return [(self._flags[b], c) for b, c in sorted(self.coeffs.items())]
@@ -154,6 +171,9 @@ class FlagVector:
     def __add__(self, other: "FlagVector") -> "FlagVector":
         if (self.labels, self.order) != (other.labels, other.order):
             raise ValueError("adding vectors of different shape")
+        mine, theirs = self._type_mask(), other._type_mask()
+        if mine is not None and theirs is not None and mine != theirs:
+            raise ValueError("adding vectors of different types")
         out = FlagVector(self.labels, self.order)
         out._flags = {**other._flags, **self._flags}
         out.coeffs = dict(self.coeffs)
@@ -258,37 +278,25 @@ def _expand(table, labels: int, order: int, weights: dict) -> FlagVector:
 
 def flag_product(f1: Flag, f2: Flag) -> FlagVector:
     """Razborov product, expanded exactly over the common-order basis."""
-    if f1.labels != f2.labels:
+    if f1.labels != f2.labels or f1.type_mask != f2.type_mask:
         raise ValueError("factors must share a type")
     s = f1.labels
-    t1, t2 = f1.type_graph(), f2.type_graph()
-    if (t1 is None) != (t2 is None) or (
-        t1 is not None and (t1.n, t1.mask) != (t2.n, t2.mask)
-    ):
-        raise ValueError("factors must share a type")
     l = f1.order + f2.order - s
     if l > MAX_BASIS_ORDER:
         raise ValueError(f"product order {l} exceeds {MAX_BASIS_ORDER}")
-    table = _count_table(*_type_key(t1), l, (f1.order, f2.order), True)
+    table = _count_table(s, f1.type_mask, l, (f1.order, f2.order), True)
     return _expand(table, s, l, {(f1.canonical_bits(), f2.canonical_bits()): 1})
 
 
 def unlabel(vec: FlagVector) -> FlagVector:
-    """Average over label placements; lands in the label-free algebra.
-
-    Raises ValueError when the flags of ``vec`` carry different types.
-    """
+    """Average over label placements; lands in the label-free algebra."""
     s, l = vec.labels, vec.order
     if s == 0:
         return vec
     if not vec.coeffs:
         return FlagVector(0, l)
-    types = {_type_key(f.type_graph()) for f in vec._flags.values()}
-    if len(types) > 1:
-        raise ValueError("unlabel expects flags of one type")
-    ((tn, tm),) = types
     weights = {(b,): c for b, c in vec.coeffs.items()}
-    return _expand(_count_table(tn, tm, l, (l,)), 0, l, weights)
+    return _expand(_count_table(s, vec._type_mask(), l, (l,)), 0, l, weights)
 
 
 def lift(vec: FlagVector, l: int) -> FlagVector:
@@ -317,15 +325,9 @@ def expand_quadratic_form(matrix, flags: list[Flag]) -> FlagVector:
     """
     if not flags:
         raise ValueError("no flags given")
-    s = flags[0].labels
-    lf = flags[0].order
-    tg = flags[0].type_graph()
-    tn, tm = _type_key(tg)
+    s, lf, tm = flags[0].labels, flags[0].order, flags[0].type_mask
     for f in flags[1:]:
-        if f.labels != s or f.order != lf:
-            raise ValueError("flags must share type and order")
-        og = f.type_graph()
-        if _type_key(og) != (tn, tm):
+        if (f.labels, f.order, f.type_mask) != (s, lf, tm):
             raise ValueError("flags must share type and order")
     m = len(flags)
     if any(len(row) != m for row in matrix) or len(matrix) != m:
@@ -337,7 +339,7 @@ def expand_quadratic_form(matrix, flags: list[Flag]) -> FlagVector:
         (bi, bj): matrix[i][j] for i, bi in enumerate(bits) for j, bj in enumerate(bits)
     }
     l = 2 * lf - s
-    return _expand(_count_table(tn, tm, l, (lf, lf)), 0, l, weights)
+    return _expand(_count_table(s, tm, l, (lf, lf)), 0, l, weights)
 
 
 def bilinear_expansion(v1: FlagVector, v2: FlagVector) -> FlagVector:

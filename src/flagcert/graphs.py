@@ -16,8 +16,13 @@ Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
 1978).  A prefix of a minimal code is the minimal code of the subgraph it
 describes, so the classes of order l are the canonical forms of order
 l-1 plus one new column, kept when the identity order is already
-minimal.  That canonicity test is the same branch-and-bound, seeded with
-the candidate's own columns and stopped at the first smaller column.
+minimal.  That canonicity test is a bitset branch-and-bound of its own:
+it only follows placements whose columns equal the identity columns, so
+at each depth a few mask operations split the free vertices into "equal
+so far" and "smaller", and any smaller one ends the test.  The column
+loop starts at twice the identity column of the parent's last vertex
+(when that vertex is not pinned): swapping the new vertex with it turns
+the new column c into c >> 1, so every lower column is non-canonical.
 Flag bases (labelled vertices pinned) come from the same generator.
 """
 
@@ -151,7 +156,7 @@ def _min_code(n: int, rows: tuple[int, ...], fixed: int = 0) -> int:
 @lru_cache(maxsize=None)
 def _min_code_cached(n: int, rows: tuple[int, ...], fixed: int) -> int:
     best = _columns(rows, fixed) + [_INF] * (n - fixed)
-    _descend(rows, fixed, best, False)
+    _descend(rows, fixed, best)
     code = 0
     for d in range(n):
         code = code << d | best[d]
@@ -159,8 +164,51 @@ def _min_code_cached(n: int, rows: tuple[int, ...], fixed: int) -> int:
 
 
 def _is_canonical(rows: tuple[int, ...], fixed: int) -> bool:
-    """True when the identity order gives the minimal code (0..fixed-1 pinned)."""
-    return not _descend(rows, fixed, _columns(rows, len(rows)), True)
+    """True when the identity order gives the minimal code (0..fixed-1 pinned).
+
+    Bitset branch and bound over placements whose columns so far equal the
+    identity columns.  At depth d the identity column's bit toward the
+    i-th placed vertex is ``rows[d] >> i & 1``, so O(d) mask operations
+    split the free vertices into those whose column is still equal and
+    those already smaller; any smaller one proves a smaller code.
+    """
+    n = len(rows)
+    placed = [rows[u] for u in range(fixed)]  # rows of the placed vertices, in order
+
+    def smaller(free: int, d: int) -> bool:
+        target = rows[d]
+        eq = free
+        for nbrs in placed:
+            if target & 1:
+                if eq & ~nbrs:
+                    return True
+                eq &= nbrs
+            else:
+                eq &= ~nbrs
+            if not eq:
+                return False
+            target >>= 1
+        if d + 1 == n:
+            return False
+        chosen: list[int] = []
+        while eq:
+            bit = eq & -eq
+            eq ^= bit
+            v = bit.bit_length() - 1
+            rv = rows[v]
+            # swapping twins is an automorphism: explore one representative
+            for u in chosen:
+                if not (rows[u] ^ rv) & ~(1 << u | bit):
+                    break
+            else:
+                chosen.append(v)
+                placed.append(rv)
+                if smaller(free ^ bit, d + 1):
+                    return True
+                placed.pop()
+        return False
+
+    return fixed >= n or not smaller((1 << n) - (1 << fixed), fixed)
 
 
 def _columns(rows: tuple[int, ...], upto: int) -> list[int]:
@@ -174,16 +222,15 @@ def _columns(rows: tuple[int, ...], upto: int) -> list[int]:
     return cols
 
 
-def _descend(rows: tuple[int, ...], fixed: int, best: list[int], stop: bool) -> bool:
+def _descend(rows: tuple[int, ...], fixed: int, best: list[int]) -> None:
     """Branch and bound over placements whose columns so far equal ``best``.
 
     A smaller column lowers ``best`` in place, so it ends as the columns of
-    the minimal code; with ``stop`` the search instead returns True at the
-    first smaller column (the seeded code is not minimal).
+    the minimal code.
     """
     n = len(rows)
 
-    def dfs(cands: list[tuple[int, int]], depth: int) -> bool:
+    def dfs(cands: list[tuple[int, int]], depth: int) -> None:
         # cands: (column toward the placed vertices, vertex) per unplaced vertex
         cands.sort()
         chosen: list[int] = []
@@ -201,21 +248,17 @@ def _descend(rows: tuple[int, ...], fixed: int, best: list[int], stop: bool) -> 
                 continue
             chosen.append(v)
             if col < best[depth]:
-                if stop:
-                    return True
                 best[depth] = col
                 for t in range(depth + 1, n):
                     best[t] = _INF
-            if depth + 1 < n and dfs(
-                [(c << 1 | rows[w] >> v & 1, w) for c, w in cands if w != v], depth + 1
-            ):
-                return True
-        return False
+            if depth + 1 < n:
+                dfs([(c << 1 | rows[w] >> v & 1, w) for c, w in cands if w != v], depth + 1)
 
     cands = [(0, v) for v in range(n)]
     for u in range(fixed):  # the pinned vertices come first, in order
         cands = [(c << 1 | rows[w] >> u & 1, w) for c, w in cands if w != u]
-    return fixed < n and dfs(cands, fixed)
+    if fixed < n:
+        dfs(cands, fixed)
 
 
 @lru_cache(maxsize=None)
@@ -263,11 +306,21 @@ def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
     if l == max(fixed, 1):
         return (SmallGraph(l, fixed_mask),)
     m = l - 1
+    # column value (vertex 0 highest) -> neighbour mask (vertex 0 lowest)
+    nbrs_of = [int(f"{col:0{m}b}"[::-1], 2) for col in range(1 << m)]
     out = []
     for g in _enumerate(m, fixed, fixed_mask):
         prows = _rows.__wrapped__(m, g.mask)  # needed once: kept out of the cache
-        for col in range(1 << m):
-            nbrs = int(f"{col:0{m}b}"[::-1], 2)  # the column has vertex 0 highest
+        start = 0
+        if m - 1 >= fixed:
+            # swapping the new vertex with vertex m-1 turns its column into
+            # col >> 1, so a child is canonical only if col >> 1 >= prev_col
+            prev_col = 0
+            for i in range(m - 1):
+                prev_col = prev_col << 1 | prows[m - 1] >> i & 1
+            start = prev_col << 1
+        for col in range(start, 1 << m):
+            nbrs = nbrs_of[col]
             rows = tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows))
             if _is_canonical(rows + (nbrs,), fixed):
                 out.append(SmallGraph(l, g.mask | nbrs << g.pair_count))

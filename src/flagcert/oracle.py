@@ -12,7 +12,9 @@ Three independent checks live here:
   over all isomorphism classes at small order.
 
 Everything is exact: the scan clears denominators and works in (unbounded)
-Python integers, so a reported pass is a proof for the scanned range.
+Python integers, so a reported pass is a proof for the scanned range.  The
+scan runs one cell per n that tests every k on each triple, and its
+parallel path hands whole n cells to the workers.
 """
 
 from __future__ import annotations
@@ -222,41 +224,51 @@ class ScanReport:
         return out
 
 
-def _scan_chunk(args: tuple[int, int, int, int]) -> tuple:
-    """Exhaust one (k = p/q, n) cell; pure-integer inner loop."""
-    p, q, n, r = args
+def _scan_cell(args: tuple[tuple[tuple[int, int], ...], int, int]) -> tuple:
+    """Exhaust one n for every k = p/q in ``pqs``; pure-integer inner loop.
+
+    Each triple's cubic (a-c)(b-c)c is evaluated once and shared by every
+    k.  Since p^3 > 0, a row (a, b) holds for one k once its largest cubic
+    passes the cleared test, and only a failing row is walked triple by
+    triple.  The case-i bound does not involve k, so it is tested once per
+    row and its violations are reported under each k.  Returns ``(pqs, n,
+    checked, per_k)`` where ``checked`` counts the triples (each checked
+    once per k) and ``per_k`` lists (violations, disagreements) per k.
+    """
+    pqs, n, r = args
     big_n = n * r
-    p2, p3, q3 = p * p, p**3, q**3
-    slack = p2 * (p - 3 * q)  # sign of (k-3); zero at k = 3
-    rhs = q3 * big_n**3
+    consts = [(p * p, p**3, p * p * (p - 3 * q), q**3 * big_n**3, p, q) for p, q in pqs]
     checked = 0
-    violations: list[tuple[int, int, int, str]] = []
-    disagreements: list[tuple[int, int, int]] = []
+    per_k: list[tuple[list, list]] = [([], []) for _ in pqs]
     for a in range(1, big_n):
+        case_i = 3 * a >= 2 * big_n  # 2n/3 <= d_u <= d_v
         for b in range(a, big_n):
             prod_nn = (big_n - a) * (big_n - b)
-            base = slack * big_n * prod_nn
             lo = max(0, a + b - big_n)
-            hi = a  # = min(a, b)
-            case_i = 3 * a >= 2 * big_n  # 2n/3 <= d_u <= d_v
-            for c in range(lo, hi + 1):
-                checked += 1
-                cubic = (a - c) * (b - c) * c
-                if p3 * cubic - base > rhs:
-                    violations.append((a, b, c, "want"))
-                if case_i and cubic > prod_nn * (a + b - big_n):
-                    violations.append((a, b, c, "case-i"))
-            # on the subdomain d_uv = d_u + d_v - n the rearranged form
-            # must agree with the direct one
-            if a + b >= big_n:
-                c = a + b - big_n
-                direct = p3 * (a - c) * (b - c) * c - base <= rhs
-                rearranged = (
-                    p2 * (big_n * (3 * q - 2 * p) + p * (a + b)) * prod_nn <= rhs
-                )
-                if direct != rearranged:
-                    disagreements.append((a, b, c))
-    return p, q, n, checked, violations, disagreements
+            # c runs over lo..a (a = min(a, b))
+            cubics = [(a - c) * (b - c) * c for c in range(lo, a + 1)]
+            checked += len(cubics)
+            top = max(cubics)
+            bound_i = prod_nn * (a + b - big_n)
+            row_case_i = case_i and top > bound_i
+            for (p2, p3, slack, rhs, p, q), (violations, disagreements) in zip(consts, per_k):
+                base = slack * big_n * prod_nn
+                if row_case_i or p3 * top - base > rhs:
+                    for c, cubic in enumerate(cubics, lo):
+                        if p3 * cubic - base > rhs:
+                            violations.append((a, b, c, "want"))
+                        if case_i and cubic > bound_i:
+                            violations.append((a, b, c, "case-i"))
+                # on the subdomain d_uv = d_u + d_v - n the rearranged form
+                # must agree with the direct one
+                if a + b >= big_n:
+                    direct = p3 * cubics[0] - base <= rhs
+                    rearranged = (
+                        p2 * (big_n * (3 * q - 2 * p) + p * (a + b)) * prod_nn <= rhs
+                    )
+                    if direct != rearranged:
+                        disagreements.append((a, b, lo))
+    return pqs, n, checked, per_k
 
 
 def want_inequality_scan(
@@ -279,7 +291,10 @@ def want_inequality_scan(
     grid_denominator = r scans degrees on the grid (1/r)Z instead of Z
     (an exploration mode; r = 1 is the domain the proof consumes).
     Returns a report carrying violations (expected empty) and the points
-    where equality holds exactly.
+    where equality holds exactly, ordered by k, then n, then triple.
+
+    The work is one cell per n covering every k; with ``workers`` > 1 the
+    cells are split among worker processes, and the report is the same.
     """
     ks = sorted({Fraction(k) for k in k_set})
     if not ks:
@@ -292,33 +307,36 @@ def want_inequality_scan(
         raise ValueError("grid denominator must be a positive integer")
     r = grid_denominator
 
-    jobs = [(k.numerator, k.denominator, n, r) for k in ks for n in range(1, n_max + 1)]
+    pqs = tuple((k.numerator, k.denominator) for k in ks)
+    jobs = [(pqs, n, r) for n in range(1, n_max + 1)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, jobs, chunksize=4))
+            results = list(pool.map(_scan_cell, jobs))
     else:
-        results = [_scan_chunk(job) for job in jobs]
+        results = [_scan_cell(job) for job in jobs]
 
     checked = 0
     violations: list[ScanViolation] = []
     disagreements: list[tuple[Fraction, int, int, int]] = []
     equalities: list[TuranEquality] = []
-    for p, q, n, cell_checked, cell_viol, cell_dis in results:
-        k = Fraction(p, q)
-        checked += cell_checked
-        for a, b, c, which in cell_viol:
-            violations.append(
-                ScanViolation(k, n, Fraction(a, r), Fraction(b, r), Fraction(c, r), which)
-            )
-        disagreements.extend((k, n, a, b) for a, b, _ in cell_dis)
-        # degrees of T_k(n) land on the grid whenever p divides n*r
-        if (n * r) % p == 0:
-            d = Fraction((p - q) * n, p)
-            d_uv = Fraction((p - 2 * q) * n, p)
-            lhs = (d - d_uv) ** 2 * d_uv - (k - 3) / k * n * (n - d) ** 2
-            value = Fraction(n, 1) ** 3 / k**3
-            if lhs == value:
-                equalities.append(TuranEquality(k, n, d, d_uv, value))
+    for j, k in enumerate(ks):
+        p, q = k.numerator, k.denominator
+        for _, n, cell_checked, per_k in results:
+            cell_viol, cell_dis = per_k[j]
+            checked += cell_checked
+            for a, b, c, which in cell_viol:
+                violations.append(
+                    ScanViolation(k, n, Fraction(a, r), Fraction(b, r), Fraction(c, r), which)
+                )
+            disagreements.extend((k, n, a, b) for a, b, _ in cell_dis)
+            # degrees of T_k(n) land on the grid whenever p divides n*r
+            if (n * r) % p == 0:
+                d = Fraction((p - q) * n, p)
+                d_uv = Fraction((p - 2 * q) * n, p)
+                lhs = (d - d_uv) ** 2 * d_uv - (k - 3) / k * n * (n - d) ** 2
+                value = Fraction(n, 1) ** 3 / k**3
+                if lhs == value:
+                    equalities.append(TuranEquality(k, n, d, d_uv, value))
     return ScanReport(
         tuple(ks),
         n_max,

@@ -10,7 +10,7 @@ import pytest
 
 from flagcert import cli
 from flagcert.cli import main
-from flagcert.graphs import emit_paircode, to_graph6, turan
+from flagcert.graphs import _enumerate_unchecked, emit_paircode, to_graph6, turan
 
 K221_CODE = "2 2 2 1 1 2 2 2 2 2"
 
@@ -53,6 +53,17 @@ def test_enumerate_order7_graph6_is_frozen(capsys):
     assert (
         hashlib.sha256(out.encode()).hexdigest()
         == "8afff0d97c1853e18211796b0f6a6e0001ae72261b9349f5a3388c08325edff9"
+    )
+
+
+def test_enumerate_order8_graph6_is_frozen():
+    # one graph6 line per class, recorded before the bitset canonicity test
+    # and the column bound replaced the sorted-column search
+    out = "".join(to_graph6(g) + "\n" for g in _enumerate_unchecked(8))
+    assert out.count("\n") == 12346
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867"
     )
 
 
@@ -110,6 +121,23 @@ def test_verify_parametric_low_base_fails(capsys):
     assert code == 1
     assert "verdict=FAIL" in out
     assert "63*k^6" in out
+
+
+def test_verify_pole_wording_is_shared(capsys):
+    # at k0 = 1 the denominators k - 1 vanish on the ray: multipliers and
+    # matrix blocks name the pole and the ray in one wording
+    code, out, _ = run(capsys, "verify", "--cert", "appendixA.cert", "--k0", "1")
+    assert code == 1 and "verdict=FAIL" in out
+    poles = [line for line in out.splitlines() if "pole" in line]
+    assert poles == [
+        "FAIL: linear term 0, multiplier of 2 2 1: RF((5*k^4 - 15*k^3 - 25*k^2"
+        " + 60*k - 20) / (k - 1)) has a pole on [1, oo)",
+        "FAIL: linear term 0, multiplier of 1 1 2: RF((10*k^5 - 35*k^4 - 45*k^3"
+        " + 125*k^2 - 105*k + 70) / (k^2 - 2*k + 1)) has a pole on [1, oo)",
+        "FAIL: square term 0 multiplier: RF((15*k - 30) / (k - 1)) has a pole on [1, oo)",
+        "FAIL: square term 1: matrix entry has a pole on [1, oo)",
+    ]
+    assert "changes sign or vanishes" not in out
 
 
 def test_verify_against_goldens(capsys):

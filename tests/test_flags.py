@@ -236,12 +236,21 @@ def test_unlabel_preserves_total_density_weight():
 
 
 def test_unlabel_rejects_mixed_types():
-    # labels adjacent and labels apart: two types in one vector
+    # labels adjacent and labels apart: two types can no longer share one
+    # vector, so unlabel never sees them together
+    adjacent, apart = Flag(parse_paircode("2 1 1"), 2), Flag(parse_paircode("1 1 1"), 2)
+    assert (adjacent.type_mask, apart.type_mask) == (1, 0)
     v = FlagVector(2, 3)
-    v.add(Flag(parse_paircode("2 1 1"), 2), Fraction(1))
-    v.add(Flag(parse_paircode("1 1 1"), 2), Fraction(1))
-    with pytest.raises(ValueError, match="one type"):
-        unlabel(v)
+    v.add(adjacent, Fraction(1))
+    with pytest.raises(ValueError, match="another type"):
+        v.add(apart, Fraction(1))
+    w = FlagVector(2, 3, [(apart, Fraction(1))])
+    with pytest.raises(ValueError, match="different types"):
+        v + w
+    # each type alone unlabels: s=2;2 1 1 is the edge uv with a third
+    # vertex apart, s=2;1 1 1 the empty triangle
+    assert [(str(f), c) for f, c in unlabel(v).items()] == [("s=0;1 1 2", Fraction(1, 3))]
+    assert [(str(f), c) for f, c in unlabel(w).items()] == [("s=0;1 1 1", Fraction(1))]
 
 
 # ---------------------------------------------------------------------------

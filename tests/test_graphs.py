@@ -117,6 +117,30 @@ def test_enumeration_keeps_candidates_out_of_caches():
     assert graphs._min_code_cached.cache_info().currsize == 0
 
 
+def test_column_bound_skips_only_non_canonical_children():
+    # a child whose new column is below twice the identity column of vertex
+    # m-1 gets a smaller code by swapping the two, so every such candidate
+    # must fail the canonicity test the generator no longer runs on it
+    checked = 0
+    for fixed in range(4):
+        for type_mask in range(1 << fixed * (fixed - 1) // 2):
+            for m in range(fixed + 1, 7):  # vertex m-1 is not pinned
+                # the column lists vertex 0 first, the mask has it lowest
+                nbrs_of = [
+                    sum(1 << i for i in range(m) if col >> (m - 1 - i) & 1)
+                    for col in range(1 << m)
+                ]
+                for g in graphs._enumerate(m, fixed, type_mask):
+                    prev_col = mask_to_code_bits(m, g.mask) & (1 << m - 1) - 1
+                    prows = g.rows()
+                    for col in range(prev_col << 1):
+                        nbrs = nbrs_of[col]
+                        rows = tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows))
+                        assert not _is_canonical(rows + (nbrs,), fixed)
+                        checked += 1
+    assert checked == 450650
+
+
 def test_enumeration_is_canonical_and_sorted():
     for n in (3, 4, 5):
         graphs = enumerate_graphs(n)

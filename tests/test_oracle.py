@@ -20,7 +20,7 @@ from flagcert.oracle import (
     SEARCH_CSV_HEADER,
     DegreeLocalData,
     ScanViolation,
-    _scan_chunk,
+    _scan_cell,
     counting_identity_check,
     degree_local_data,
     edge_local_count,
@@ -201,12 +201,42 @@ def test_scan_small_integers_clean():
 
 def test_scan_detector_fires_below_three():
     # the guard exists because k < 3 genuinely breaks the inequality
-    p, q, n, checked, violations, disagreements = _scan_chunk((5, 2, 12, 1))
-    assert (p, q, n) == (5, 2, 12)
+    pqs, n, checked, [(violations, disagreements)] = _scan_cell((((5, 2),), 12, 1))
+    assert (pqs, n) == (((5, 2),), 12)
     assert violations
     assert disagreements == []
     with pytest.raises(ValueError):
         want_inequality_scan([Fraction(5, 2)], 12)
+
+
+BELOW_THREE = (Fraction(5, 2), Fraction(8, 3), Fraction(11, 4))
+
+
+def _cell_violations(pqs, n_max):
+    # (n, d_u, d_v, d_uv, which) per k, in report order, from the per-n cells
+    out = [[] for _ in pqs]
+    checked = 0
+    for n in range(1, n_max + 1):
+        _, _, cell_checked, per_k = _scan_cell((pqs, n, 1))
+        checked += cell_checked
+        for found, (violations, disagreements) in zip(out, per_k):
+            assert disagreements == []
+            found.extend((n, a, b, c, which) for a, b, c, which in violations)
+    return checked, out
+
+
+def test_scan_cell_violations_match_fraction_reference():
+    # below k = 3 the scan must report exactly the reference's violations
+    # in the same order; case-i is a true bound, so its lists stay empty
+    pqs = tuple((k.numerator, k.denominator) for k in BELOW_THREE)
+    checked, found = _cell_violations(pqs, 10)
+    for k, cell in zip(BELOW_THREE, found):
+        ref_checked, ref = brute_scan(k, 10)
+        assert checked == ref_checked
+        assert any(v[-1] == "want" for v in ref)
+        assert cell == ref
+        # a cell for this k alone gives the same lists
+        assert _cell_violations(((k.numerator, k.denominator),), 10) == (checked, [ref])
 
 
 def test_scan_input_validation():
