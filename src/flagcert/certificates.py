@@ -8,13 +8,16 @@ the expansion of
 
 over the label-free basis of ``expansion-order`` must have every
 coefficient, times ``scale``, at most ``bound`` (strictly, if declared).
-Square terms are nonnegative when M is PSD and the multiplier is
+``scale`` and ``target-coefficient`` must be positive (on the ray
+[k0, oo) for the parametric kind), or the bound says nothing about the
+target.  Square terms are nonnegative when M is PSD and the multiplier is
 nonnegative.  One pivoted LDL^T (``exactmath.psd_check``) decides every
 matrix block, of any size: over Q for the numeric kind, over Q(k) on the
 ray [k0, oo) for the parametric kind, where no entry may have a pole on
 the ray.  Linear terms vanish (numeric kind) or are nonnegative
 (parametric kind) under the certificate's edge-density assumption, so a
-verified expansion bounds the target density by bound/scale.
+verified expansion bounds the target density by
+bound / (scale * target-coefficient).
 
 File format: ``key: value`` header lines, then term blocks bracketed by
 ``begin linear``/``begin square`` ... ``end``.  ``#`` starts a comment.
@@ -165,10 +168,11 @@ class Certificate:
 
 
 def _clean_lines(text: str):
-    for raw in text.splitlines():
+    """(line number, content) of each line left after comments are cut."""
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line
+            yield number, line
 
 
 def _split_entries(value: str):
@@ -212,7 +216,7 @@ def parse_certificate(text: str) -> Certificate:
     blocks: list[tuple[str, dict]] = []
     current: dict | None = None
     current_kind = ""
-    for line in _clean_lines(text):
+    for _, line in _clean_lines(text):
         if line.startswith("begin "):
             if current is not None:
                 raise ValueError("nested begin")
@@ -519,7 +523,7 @@ def verify_density_certificate(cert: Certificate) -> VerificationReport:
     """Check a numeric certificate; see the module docstring for the rules."""
     if cert.parametric:
         raise ValueError("numeric verifier given a parametric certificate")
-    failures: list[str] = []
+    failures = _scaling_failures(cert, None)
     notes: list[str] = []
     if cert.note:
         notes.append(cert.note)
@@ -576,6 +580,19 @@ def verify_density_certificate(cert: Certificate) -> VerificationReport:
     )
 
 
+def _scaling_failures(cert: Certificate, k0: Fraction | None) -> list[str]:
+    """target-coefficient and scale must be positive, on [k0, oo) if parametric."""
+    failures = []
+    for key, value in (
+        ("target-coefficient", cert.target_coefficient), ("scale", cert.scale)
+    ):
+        if not cert.parametric and value <= 0:
+            failures.append(f"{key} {value} is not positive")
+        elif cert.parametric and not positive_on_ray(value, k0):
+            failures.append(f"{key} {value.pretty()} is not positive on [{k0}, oo)")
+    return failures
+
+
 def _psd_failure(rows, nonneg, where: str) -> str | None:
     """Why one square block is not PSD under ``nonneg``, or None if it is."""
     m = SymMatrix.from_rows(rows)
@@ -587,26 +604,14 @@ def _psd_failure(rows, nonneg, where: str) -> str | None:
     return None
 
 
-def _ray_nonneg(k0: Fraction):
-    """Pivot predicate over Q(k): zero, or nonnegative on [k0, oo)."""
-
-    def nonneg(d) -> bool:
-        try:
-            return d == 0 or rf_nonneg_on_ray(d, k0)
-        except ValueError:  # a pole on the ray leaves no sign to certify
-            return False
-
-    return nonneg
-
-
-def _rf_nonneg(value, k0: Fraction, what: str, failures: list[str]) -> None:
+def _ray_problem(value, k0: Fraction) -> str | None:
+    """Why ``value`` is not nonnegative on [k0, oo), or None if it is."""
     try:
-        ok = rf_nonneg_on_ray(value, k0)
-    except ValueError:
-        failures.append(f"{what}: {value} has a pole on [{k0}, oo)")
-        return
-    if not ok:
-        failures.append(f"{what}: {value} is negative somewhere on [{k0}, oo)")
+        if rf_nonneg_on_ray(value, k0):
+            return None
+    except ValueError:  # a pole on the ray leaves no sign to certify
+        return f"has a pole on [{k0}, oo)"
+    return f"is negative somewhere on [{k0}, oo)"
 
 
 def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationReport:
@@ -614,22 +619,25 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
     if not cert.parametric:
         raise ValueError("parametric verifier given a numeric certificate")
     k0 = frac(k0) if k0 is not None else cert.k0
-    failures: list[str] = []
+    failures = _scaling_failures(cert, k0)
     notes: list[str] = []
     if cert.note:
         notes.append(cert.note)
 
     for i, lt in enumerate(cert.linear_terms):
         for coeff, g in lt.vector:
-            _rf_nonneg(
-                coeff, k0, f"linear term {i}, multiplier of {emit_paircode(g)}",
-                failures,
-            )
+            problem = _ray_problem(coeff, k0)
+            if problem:
+                failures.append(
+                    f"linear term {i}, multiplier of {emit_paircode(g)}: "
+                    f"{coeff} {problem}"
+                )
 
     psd_root = None
-    nonneg = _ray_nonneg(k0)
     for i, st in enumerate(cert.square_terms):
-        _rf_nonneg(st.multiplier, k0, f"square term {i} multiplier", failures)
+        problem = _ray_problem(st.multiplier, k0)
+        if problem:
+            failures.append(f"square term {i} multiplier: {st.multiplier} {problem}")
         m = st.matrix
         condition_holds = True
         if st.psd_condition is not None and (m is None or len(m) != 2):
@@ -668,7 +676,9 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
         if not all(positive_on_ray(e.den, k0) for row in m for e in row):
             failures.append(f"square term {i}: matrix entry has a pole on [{k0}, oo)")
         elif condition_holds:
-            problem = _psd_failure(m, nonneg, f" on [{k0}, oo)")
+            problem = _psd_failure(
+                m, lambda d: _ray_problem(d, k0) is None, f" on [{k0}, oo)"
+            )
             if problem:
                 failures.append(f"square term {i}: {problem}")
 
@@ -741,35 +751,70 @@ class Golden:
     zero_codes: tuple = ()
     profile_rows: tuple = ()
 
+    def check_kind(self, kind: str) -> None:
+        """Raise ValueError unless this golden's rows fit a ``kind`` report.
+
+        A numeric report needs coefficient rows and a parametric one
+        polynomial rows; rows of the other kind cannot be compared.  A
+        profile golden holds neither.
+        """
+        want, other, name = self.coefficient_rows, self.polynomial_rows, "coefficient"
+        if kind == "parametric":
+            want, other, name = other, want, "polynomial"
+        if not want or other:
+            raise ValueError(
+                f"golden {self.label!r} is not a table of {name} rows, "
+                f"which a {kind} certificate needs"
+            )
+
 
 def load_golden(source) -> Golden:
-    text = _read_text(source)
+    """Parse a golden table; a malformed row raises ValueError naming its line."""
     label = None
     coeff_rows: list[tuple[Fraction, str]] = []
     poly_rows: list[tuple[KPolynomial, str, Fraction]] = []
     zeros: list[str] = []
     profile: list[tuple[str, str]] = []
-    for line in _clean_lines(text):
+    for number, line in _clean_lines(_read_text(source)):
         if label is None:
             if not line.startswith("golden:"):
-                raise ValueError("golden files start with a 'golden:' label")
+                raise ValueError(
+                    f"golden line {number}: golden files start with a 'golden:' label"
+                )
             label = line.split(":", 1)[1].strip()
             continue
         parts = [p.strip() for p in line.split("|")]
         if label == "profile":
-            profile.append((parts[0], parts[1]))
+            kind = "profile"
         elif parts[0] == "zero":
-            zeros.append(_code_of(parse_paircode(parts[1])))
-        elif parts[0].startswith("["):
-            poly_rows.append(
-                (
-                    _parse_poly_literal(parts[0]),
-                    _code_of(parse_paircode(parts[1])),
-                    Fraction(parts[2]),
-                )
-            )
+            kind = "zero"
         else:
-            coeff_rows.append((Fraction(parts[0]), _code_of(parse_paircode(parts[1]))))
+            kind = "polynomial" if parts[0].startswith("[") else "coefficient"
+        width = 3 if kind == "polynomial" else 2
+        try:
+            if len(parts) != width:
+                raise ValueError(
+                    f"a {kind} row has {width} '|'-separated columns, "
+                    f"not {len(parts)}"
+                )
+            if kind == "profile":
+                profile.append((parts[0], parts[1]))
+            elif kind == "zero":
+                zeros.append(_code_of(parse_paircode(parts[1])))
+            elif kind == "polynomial":
+                poly_rows.append(
+                    (
+                        _parse_poly_literal(parts[0]),
+                        _code_of(parse_paircode(parts[1])),
+                        Fraction(parts[2]),
+                    )
+                )
+            else:
+                coeff_rows.append(
+                    (Fraction(parts[0]), _code_of(parse_paircode(parts[1])))
+                )
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"golden line {number}: {exc}") from None
     if label is None:
         raise ValueError("golden file lacks a 'golden:' label")
     return Golden(
@@ -786,7 +831,11 @@ ROOT_TOLERANCE = Fraction(1, 10**6)
 
 
 def compare_with_golden(report: VerificationReport, golden: Golden) -> list[str]:
-    """Mismatch descriptions; empty means the report matches the golden."""
+    """Mismatch descriptions; empty means the report matches the golden.
+
+    Raises ValueError when the golden's rows do not fit the report's kind.
+    """
+    golden.check_kind(report.kind)
     problems: list[str] = []
     if golden.coefficient_rows:
         for ref, code in golden.coefficient_rows:

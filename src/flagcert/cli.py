@@ -92,12 +92,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     k0 = Fraction(args.k0) if args.k0 is not None else None
     if k0 is not None and not cert.parametric:
         raise UsageError(f"--k0 applies only to parametric certificates, not {cert.kind!r}")
+    if args.golden is not None:  # bad input stops before any report line
+        golden = load_golden(_stdin_text() if args.golden == "-" else args.golden)
+        golden.check_kind(cert.kind)
     report = verify_certificate(cert, k0=k0)
     for line in report.lines():
         print(line)
     mismatches: list[str] = []
     if args.golden is not None:
-        golden = load_golden(_stdin_text() if args.golden == "-" else args.golden)
         mismatches = compare_with_golden(report, golden)
         print(f"golden mismatches: {len(mismatches)}")
         for m in mismatches:

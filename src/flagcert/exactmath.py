@@ -1,12 +1,12 @@
 """Exact arithmetic helpers: rational polynomials, Sturm chains, LDL^T.
 
 Everything here is exact.  Polynomials in one variable k are immutable
-tuples of Fraction coefficients in ascending order.  Sign questions on
-rays [k0, inf) are settled by Sturm root counting, on the integer
-odd-multiplicity part when the question is nonnegativity.  Every gcd
-and exact division runs on primitive integer polynomials.  Each chain
-is built once per question by a pseudo-remainder sequence, and its
-signs at a rational point are read off by integer Horner steps.
+tuples of Fraction coefficients in ascending order.  Every gcd and
+exact division runs on primitive integer polynomials.  Every sign on a
+ray [k0, inf) is read off one integer Sturm chain (ascending int lists)
+of the squarefree part, or of the odd-multiplicity part for
+nonnegativity, by integer Horner steps.  A rational function's
+denominator is monic, so its pole on the ray is a root in [k0, inf).
 One pivoted LDL^T classifies symmetric matrices of any size over Q, or
 over Q(k) on a ray, as PSD / not-PSD with a checkable witness either way.
 """
@@ -303,23 +303,19 @@ def squarefree_part(p: KPolynomial) -> KPolynomial:
 # Sturm chains and root location
 
 
-def sturm_chain(p: KPolynomial) -> list[KPolynomial]:
-    """Sturm chain of the squarefree part of p, as primitive integer polynomials.
+def sturm_chain(a: list[int]) -> list[list[int]]:
+    """Sturm chain of a squarefree primitive integer polynomial a.
 
-    Each element is a positive multiple of the classical element
-    (p, p', -rem, ...), so every sign variation count is unchanged.
+    a and every element are ascending int lists.  Each element is a
+    positive multiple of the classical element (a, a', -rem, ...), so every
+    sign variation count is unchanged.
     """
-    a = _int_squarefree(_int_poly(p))
     chain = [a]
     b = _primitive(_int_derivative(a))
     while b:
         chain.append(b)
         a, b = b, [-c for c in _primitive(_prem(a, b))]
-    return [KPolynomial(q) for q in chain]
-
-
-def _int_chain(chain: Sequence[KPolynomial]) -> list[tuple[int, ...]]:
-    return [tuple(c.numerator for c in q.coeffs) for q in chain]
+    return chain
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -334,7 +330,7 @@ def _variations(signs: Iterable[int]) -> int:
     return var
 
 
-def _signs_at(chain: Sequence[tuple[int, ...]], a: int, b: int) -> list[int]:
+def _signs_at(chain: Sequence[list[int]], a: int, b: int) -> list[int]:
     """Signs of the chain's elements at a / b, b > 0.
 
     An element q of degree d has the sign of sum q_i a^i b^(d-i), which
@@ -353,7 +349,7 @@ def _signs_at(chain: Sequence[tuple[int, ...]], a: int, b: int) -> list[int]:
     return signs
 
 
-def _variations_at_inf(chain: Sequence[tuple[int, ...]], positive: bool) -> int:
+def _variations_at_inf(chain: Sequence[list[int]], positive: bool) -> int:
     """Sign variations of the chain as x tends to +inf or to -inf."""
     signs = []
     for q in chain:
@@ -362,21 +358,13 @@ def _variations_at_inf(chain: Sequence[tuple[int, ...]], positive: bool) -> int:
     return _variations(signs)
 
 
-def count_real_roots(p: KPolynomial, lower=None, upper=None) -> int:
-    """Distinct real roots in (lower, upper); None means unbounded.
+def _roots_between(chain: Sequence[list[int]], lower, upper) -> int:
+    """Distinct roots of chain[0] in (lower, upper); None means unbounded.
 
-    Endpoint roots are excluded.  At a root x of p the chain's variation
-    count equals the one just right of x, so V(lower) counts from just past
-    lower, and a root at upper is subtracted.  An empty interval
-    (lower >= upper) has no roots.
+    At a root x the chain's variation count equals the one just right of
+    x, so V(lower) counts from just past lower, and a root at upper is
+    subtracted.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial has every point as a root")
-    if lower is not None and upper is not None and frac(lower) >= frac(upper):
-        return 0
-    if p.degree == 0:
-        return 0
-    chain = _int_chain(sturm_chain(p))
     if lower is None:
         count = _variations_at_inf(chain, False)
     else:
@@ -387,6 +375,21 @@ def count_real_roots(p: KPolynomial, lower=None, upper=None) -> int:
     upper = frac(upper)
     signs = _signs_at(chain, upper.numerator, upper.denominator)
     return count - _variations(signs) - (signs[0] == 0)
+
+
+def count_real_roots(p: KPolynomial, lower=None, upper=None) -> int:
+    """Distinct real roots in (lower, upper); None means unbounded.
+
+    Endpoint roots are excluded.  An empty interval (lower >= upper) has
+    no roots.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has every point as a root")
+    if lower is not None and upper is not None and frac(lower) >= frac(upper):
+        return 0
+    if p.degree == 0:
+        return 0
+    return _roots_between(sturm_chain(_int_squarefree(_int_poly(p))), lower, upper)
 
 
 def cauchy_bound(p: KPolynomial) -> Fraction:
@@ -426,7 +429,7 @@ def isolate_largest_real_root(p: KPolynomial, precision) -> RootBracket:
         raise ValueError("precision must be positive")
     if p.is_zero or p.degree == 0:
         raise ValueError("no real root")
-    chain = _int_chain(sturm_chain(p))
+    chain = sturm_chain(_int_squarefree(_int_poly(p)))
     v_inf = _variations_at_inf(chain, True)
     if _variations_at_inf(chain, False) == v_inf:
         raise ValueError("no real root")
@@ -456,10 +459,8 @@ def nonneg_on_ray(p: KPolynomial, k0) -> bool:
         return p.coeffs[0] >= 0
     if p.leading < 0 or p(k0) < 0:
         return False
-    odd = _int_odd_part(_int_poly(p))
-    if len(odd) <= 1:
-        return True
-    return count_real_roots(KPolynomial(odd), lower=k0) == 0
+    odd = _int_odd_part(_int_poly(p))  # squarefree and primitive already
+    return len(odd) <= 1 or _roots_between(sturm_chain(odd), k0, None) == 0
 
 
 def positive_on_ray(p: KPolynomial, k0) -> bool:
@@ -471,7 +472,7 @@ def positive_on_ray(p: KPolynomial, k0) -> bool:
         return p.coeffs[0] > 0
     if p(k0) <= 0 or p.leading < 0:
         return False
-    return count_real_roots(p, lower=k0) == 0
+    return _roots_between(sturm_chain(_int_squarefree(_int_poly(p))), k0, None) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +612,16 @@ def _require_rf(x) -> RationalFunction:
 
 
 def rf_nonneg_on_ray(r: RationalFunction, k0) -> bool:
-    """Nonnegativity of num/den on [k0, inf); denominator must keep a sign.
+    """Nonnegativity of num/den on [k0, inf).
 
-    Raises ValueError if the denominator vanishes somewhere on the ray.
+    The denominator is monic, so it has no root on the ray exactly when
+    it is positive there, and then num/den has the sign of num.  Raises
+    ValueError on a pole: a root of the denominator in [k0, inf).
     """
     r = _require_rf(r)
-    den = r.den
-    if den.degree > 0 and count_real_roots(den, lower=k0) > 0 or den(k0) == 0:
-        raise ValueError(
-            f"denominator {den.pretty()} changes sign or vanishes on the ray"
-        )
-    num = r.num if den(k0) > 0 else -r.num
-    return nonneg_on_ray(num, k0)
+    if not positive_on_ray(r.den, k0):
+        raise ValueError(f"denominator {r.den.pretty()} has a root on [{k0}, oo)")
+    return nonneg_on_ray(r.num, k0)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ class FlagVector:
     """Sparse linear combination of flags sharing one type and order.
 
     Coefficients are any exact ring elements (Fraction, RationalFunction).
-    Keys are flag canonical codes; ``support`` recovers Flag objects.
+    Keys are flag canonical codes; ``items`` pairs each held Flag with
+    its coefficient.
     ``add`` and ``+`` reject a flag whose labelled vertices induce a
     different type from the flags already held.
     """

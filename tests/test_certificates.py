@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from flagcert import flags
 from flagcert.certificates import (
     _psd_failure,
-    _ray_nonneg,
+    _ray_problem,
     certificate_expansion,
     compare_with_golden,
     load_certificate,
@@ -420,7 +420,7 @@ def polynomial_matrices(draw):
 def test_parametric_psd_verdict_matches_sympy_on_the_ray(rows, k0, offsets):
     sp = pytest.importorskip("sympy")
     entries = [[RationalFunction(p) for p in r] for r in rows]
-    if _psd_failure(entries, _ray_nonneg(k0), "") is not None:
+    if _psd_failure(entries, lambda d: _ray_problem(d, k0) is None, "") is not None:
         return
     for dk in offsets:
         at = k0 + dk
@@ -493,6 +493,36 @@ def test_golden_detects_root_drift():
 def test_golden_requires_label():
     with pytest.raises(ValueError):
         load_golden("1 | 2 2 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("golden: x\n1/2\n", 2),
+        ("golden: x\n\n# c\nzero\n", 4),
+        ("golden: x\n1 | 2 2 2\n[1,2] | 2 2 2\n", 3),
+        ("golden: x\n[1,2] | 2 2 | 1/2\n", 2),
+        ("golden: x\nabc | 2 2 2\n", 2),
+        ("golden: profile\n0.5\n", 2),
+    ],
+)
+def test_golden_row_errors_name_their_line(text, line):
+    with pytest.raises(ValueError, match=f"^golden line {line}: "):
+        load_golden(text)
+
+
+def test_golden_must_fit_the_report_kind():
+    numeric = verify_certificate(load_certificate("k4.cert"))
+    parametric = verify_certificate(load_certificate("appendixA.cert"))
+    b = load_golden("appendixB.golden")
+    c = load_golden("appendixC.golden")
+    p = load_golden("profile_curve.golden")
+    for report, golden in ((numeric, c), (numeric, p), (parametric, b), (parametric, p)):
+        with pytest.raises(ValueError, match="is not a table of"):
+            compare_with_golden(report, golden)
+    mixed = dataclasses.replace(c, coefficient_rows=b.coefficient_rows)
+    with pytest.raises(ValueError):
+        compare_with_golden(parametric, mixed)
 
 
 # ---------------------------------------------------------------------------

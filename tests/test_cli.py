@@ -2,9 +2,11 @@
 
 import hashlib
 import io
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +173,88 @@ def test_verify_k0_on_numeric_certificate(capsys):
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--cert", "no-such.cert")
     assert code == 2 and "not a bundled name" in err
+
+
+HEADER = (
+    "format: flagcert 1\nname: {name}\nkind: {kind}\nexpansion-order: 5\n"
+    "target: 2 2 2 1 1 2 2 2 2 2\ntarget-coefficient: {target}\n"
+    "scale: {scale}\nbound: {bound}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, fail",
+    [
+        (
+            HEADER.format(name="t", kind="numeric", target=-1, scale=1, bound=0),
+            "target-coefficient -1 is not positive",
+        ),
+        (
+            HEADER.format(name="s", kind="numeric", target=1, scale=-1, bound=0),
+            "scale -1 is not positive",
+        ),
+        (
+            HEADER.format(
+                name="p", kind="parametric", target="[1]", scale="[-1]", bound="[0]"
+            )
+            + "k0: 5\n",
+            "scale -1 is not positive on [5, oo)",
+        ),
+    ],
+)
+def test_nonpositive_scale_or_target_coefficient_is_refuted(
+    capsys, monkeypatch, text, fail
+):
+    # no terms and bound 0: every coefficient check passes, so the
+    # positivity of the scaling alone decides the verdict
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "verify", "--cert", "-")
+    assert code == 1 and "verdict=FAIL" in out
+    assert [l for l in out.splitlines() if l.startswith("FAIL:")] == [f"FAIL: {fail}"]
+
+
+def test_scaling_positivity_lines_in_appendixA_below_the_ray(capsys):
+    _, out, _ = run(capsys, "verify", "--cert", "appendixA.cert", "--k0", "0")
+    fails = [l for l in out.splitlines() if l.startswith("FAIL:")]
+    assert fails[:2] == [
+        "FAIL: target-coefficient k^4 is not positive on [0, oo)",
+        "FAIL: scale 4*k^2 - 8*k + 4 is not positive on [0, oo)",
+    ]
+    _, out, _ = run(capsys, "verify", "--cert", "appendixA.cert", "--k0", "1")
+    assert "FAIL: scale 4*k^2 - 8*k + 4 is not positive on [1, oo)" in out
+    assert "target-coefficient" not in out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "cert, golden, stdin, message",
+    [
+        ("k4.cert", "-", "golden: x\n1/2\n", "golden line 2"),
+        ("k4.cert", "-", "golden: x\nzero\n", "golden line 2"),
+        ("k4.cert", "-", "golden: x\n# rows\n[1,2] | 2 2 2\n", "golden line 3"),
+        ("k4.cert", "-", "golden: x\n1/0 | 2 2 2\n", "golden line 2"),
+        ("k4.cert", "appendixC.golden", None, "coefficient rows"),
+        ("k4.cert", "profile_curve.golden", None, "coefficient rows"),
+        ("appendixA.cert", "appendixB.golden", None, "polynomial rows"),
+        ("appendixA.cert", "profile_curve.golden", None, "polynomial rows"),
+    ],
+)
+def test_malformed_or_mismatched_golden_exits_two(cert, golden, stdin, message):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagcert.cli", "verify", "--cert", cert,
+         "--golden", golden],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

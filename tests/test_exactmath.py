@@ -14,6 +14,7 @@ from flagcert.exactmath import (
     SymMatrix,
     _int_odd_part,
     _int_poly,
+    _int_squarefree,
     cauchy_bound,
     count_real_roots,
     isolate_largest_real_root,
@@ -105,14 +106,14 @@ def test_sturm_root_counts():
 
 
 def test_sturm_chain_shape():
-    chain = sturm_chain(PSD_CONDITION)
-    assert chain[0] == squarefree_part(PSD_CONDITION).monic() or chain[0].degree == 6
+    chain = sturm_chain(_int_squarefree(_int_poly(PSD_CONDITION)))
+    assert KPolynomial(chain[0]).monic() == squarefree_part(PSD_CONDITION)
     # primitive integer polynomials, degrees falling to a nonzero constant
     for q in chain:
-        assert all(c.denominator == 1 for c in q.coeffs)
-        assert math.gcd(*(c.numerator for c in q.coeffs)) == 1
-    assert [q.degree for q in chain] == list(range(6, -1, -1))
-    assert chain[0].leading > 0 and chain[1].leading > 0
+        assert all(type(c) is int for c in q)
+        assert math.gcd(*q) == 1
+    assert [len(q) - 1 for q in chain] == list(range(6, -1, -1))
+    assert chain[0][-1] > 0 and chain[1][-1] > 0
 
 
 def test_count_excludes_root_endpoints():
@@ -217,6 +218,22 @@ def test_rf_nonneg_on_ray():
     k = KPolynomial([0, 1])
     assert rf_nonneg_on_ray(RationalFunction(k - 3, k - 1), 3)
     assert not rf_nonneg_on_ray(RationalFunction(3 - k, k - 1), 4)
+
+
+def test_rf_nonneg_on_ray_pole_rule():
+    # a pole is a root of the monic denominator in [k0, oo), endpoint included
+    k = KPolynomial([0, 1])
+    with pytest.raises(ValueError):
+        rf_nonneg_on_ray(RationalFunction(1, k - 5), 5)  # root at k0
+    with pytest.raises(ValueError):
+        rf_nonneg_on_ray(RationalFunction(1, (k - 7) ** 2), 5)  # double root beyond
+    # a root below k0 is no pole; the sign is the numerator's
+    assert rf_nonneg_on_ray(RationalFunction(k - 5, k - 3), 5)
+    assert not rf_nonneg_on_ray(RationalFunction(k - 6, (k - 3) ** 2), 5)
+    # a constant denominator never has a pole
+    assert rf_nonneg_on_ray(RationalFunction(k - 5, 3), 5)
+    assert not rf_nonneg_on_ray(RationalFunction(-1), 5)
+    assert rf_nonneg_on_ray(Fraction(0), 5)
 
 
 @given(polys(2), polys(2))
@@ -520,3 +537,59 @@ def test_psd_check_matches_sympy(rows):
     assert res.verify(m)
     if not res.psd:
         assert m.quadratic_form(res.witness) < 0
+
+
+@st.composite
+def monic_denominators_and_bases(draw):
+    """A monic polynomial of degree <= 3 and a rational k0.
+
+    The polynomial is an integer one, or a product of (k - r)^m with
+    rational r and m >= 1; then k0 may be drawn at a root or just below.
+    """
+    base = st.fractions(min_value=-4, max_value=8, max_denominator=4)
+    if draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-6, 6), max_size=3))
+        return KPolynomial(cs + [1]), draw(base)
+    k = KPolynomial.variable()
+    den = KPolynomial([1])
+    roots = draw(st.lists(small_rationals, max_size=3, unique=True))
+    for r in roots:
+        if den.degree < 3:
+            den = den * (k - r) ** draw(st.integers(1, 3 - den.degree))
+    if roots:
+        base |= st.sampled_from(roots + [r - Fraction(1, 2) for r in roots])
+    return den, draw(base)
+
+
+@given(polys(3), monic_denominators_and_bases())
+@example(KPolynomial([1]), (KPolynomial([49, -14, 1]), Fraction(5)))  # (k-7)^2
+@example(KPolynomial([1]), (KPolynomial([-5, 1]), Fraction(5)))  # root at k0
+def test_rf_nonneg_on_ray_matches_sympy(num, case):
+    sp = pytest.importorskip("sympy")
+    den, k0 = case
+    x = sp.Symbol("x")
+    expr = sp.cancel(_sympy_poly(num).as_expr() / _sympy_poly(den).as_expr())
+    at = sp.Rational(k0.numerator, k0.denominator)
+    pole = any(
+        bool(r >= at) for r in sp.Poly(sp.fraction(expr)[1], x).real_roots()
+    )
+    r = RationalFunction(num, den)
+    if pole:
+        with pytest.raises(ValueError):
+            rf_nonneg_on_ray(r, k0)
+        return
+    # off the poles expr has the sign of num * den: sample it at k0, between
+    # isolating intervals of its real roots, refined until none touch, and
+    # beyond the last one
+    n, d = sp.fraction(expr)
+    q = sp.Poly(n * d, x)
+    eps = sp.Rational(1)
+    ends = [iv for iv, _ in q.intervals(eps=eps)]
+    while any(b >= c for (_, b), (c, _) in zip(ends, ends[1:])):
+        eps /= 16
+        ends = [iv for iv, _ in q.intervals(eps=eps)]
+    points = [at] + [(b + c) / 2 for (_, b), (c, _) in zip(ends, ends[1:])]
+    if ends:
+        points.append(ends[-1][1] + 1)
+    want = all(q.eval(pt) >= 0 for pt in points if pt >= at)
+    assert rf_nonneg_on_ray(r, k0) == want
