@@ -212,23 +212,40 @@ _BLOCK_KEYS = {
 
 
 def parse_certificate(text: str) -> Certificate:
-    header: dict[str, str] = {}
-    blocks: list[tuple[str, dict]] = []
+    """Parse certificate text.
+
+    A ValueError names its line as ``certificate line N: ...``: the
+    offending line, the key's own line, or the ``begin`` line of a block
+    whose shape is wrong.  A missing header key names no line.
+    """
+    at = [None]  # the line that the check in progress is about
+    try:
+        return _parse_certificate(text, at)
+    except (ValueError, ZeroDivisionError) as exc:
+        if at[0] is None:
+            raise
+        raise ValueError(f"certificate line {at[0]}: {exc}") from None
+
+
+def _parse_certificate(text: str, at: list) -> Certificate:
+    header: dict[str, tuple[int, str]] = {}  # key -> (line, value)
+    blocks: list[tuple[str, int, dict]] = []  # (kind, begin line, body)
     current: dict | None = None
     current_kind = ""
-    for _, line in _clean_lines(text):
+    for number, line in _clean_lines(text):
+        at[0] = number
         if line.startswith("begin "):
             if current is not None:
                 raise ValueError("nested begin")
             current_kind = line[len("begin ") :].strip()
             if current_kind not in ("linear", "square"):
                 raise ValueError(f"unknown block kind {current_kind!r}")
-            current = {}
+            current, begin = {}, number
             continue
         if line == "end":
             if current is None:
                 raise ValueError("end without begin")
-            blocks.append((current_kind, current))
+            blocks.append((current_kind, begin, current))
             current = None
             continue
         if ":" not in line:
@@ -241,25 +258,28 @@ def parse_certificate(text: str) -> Certificate:
             raise ValueError(f"unknown key {key!r} in {where}")
         store = header if current is None else current
         if key in ("row", "congruence-row"):
-            store.setdefault(key, []).append(value)
+            store.setdefault(key, []).append((number, value))
         elif key in store:
             raise ValueError(f"duplicate key {key!r}")
         else:
-            store[key] = value
+            store[key] = (number, value)
     if current is not None:
+        at[0] = begin
         raise ValueError("unterminated block")
-
-    kind = header.get("kind", "")
-    if kind not in ("numeric", "parametric"):
-        raise ValueError(f"kind must be numeric or parametric, got {kind!r}")
-    parametric = kind == "parametric"
 
     def header_value(key, default=None):
         if key not in header:
+            at[0] = None
             if default is None:
                 raise ValueError(f"missing header key {key!r}")
             return default
-        return header[key]
+        at[0], text = header[key]  # the checks that follow are about its line
+        return text
+
+    kind = header_value("kind", "")
+    if kind not in ("numeric", "parametric"):
+        raise ValueError(f"kind must be numeric or parametric, got {kind!r}")
+    parametric = kind == "parametric"
 
     order = int(header_value("expansion-order"))
     if not 2 <= order <= 6:
@@ -271,7 +291,7 @@ def parse_certificate(text: str) -> Certificate:
     strict = strict_value == "yes"
 
     def poly_value(key):
-        v = parse_value(header[key], parametric)
+        v = parse_value(header_value(key), parametric)
         if parametric:
             if not v.is_polynomial:
                 raise ValueError(f"{key} must be a polynomial")
@@ -282,18 +302,29 @@ def parse_certificate(text: str) -> Certificate:
     scale = poly_value("scale")
     bound = poly_value("bound")
     alt_bound = poly_value("alt-bound") if "alt-bound" in header else None
-    k0 = Fraction(header["k0"]) if "k0" in header else None
+    k0 = Fraction(header_value("k0")) if "k0" in header else None
     if parametric and k0 is None:
+        at[0] = None
         raise ValueError("parametric certificates must declare k0")
 
     def block_value(bkind, body, key):
         if key not in body:
+            at[0] = begin
             raise ValueError(f"{bkind} block without {key!r}")
-        return body[key]
+        at[0], text = body[key]
+        return text
+
+    def rows_value(body, key):
+        rows = []
+        for number, text in body[key]:
+            at[0] = number
+            rows.append(tuple(parse_value(v, parametric) for v in _split_entries(text)))
+        at[0] = begin  # what follows checks the block's shape
+        return tuple(rows)
 
     linear_terms = []
     square_terms = []
-    for bkind, body in blocks:
+    for bkind, begin, body in blocks:
         if bkind == "linear":
             vector = _parse_combo(
                 block_value(bkind, body, "vector"), parametric, allow_const=False
@@ -301,6 +332,7 @@ def parse_certificate(text: str) -> Certificate:
             factor = _parse_combo(
                 block_value(bkind, body, "factor"), parametric, allow_const=True
             )
+            at[0] = begin
             vorders = {g.n for _, g in vector}
             forders = {g.n for _, g in factor if g is not None}
             if len(vorders) != 1 or len(forders) != 1:
@@ -327,6 +359,7 @@ def parse_certificate(text: str) -> Certificate:
                         f"flag {emit_paircode(f.graph)!r} does not carry the "
                         "declared type"
                     )
+        at[0] = begin
         forder = {f.order for f in flags}
         if len(forder) != 1:
             raise ValueError("square flags must share one order")
@@ -339,17 +372,16 @@ def parse_certificate(text: str) -> Certificate:
         vector = matrix = congruence = None
         if "vector" in body:
             vector = tuple(
-                parse_value(v, parametric) for v in _split_entries(body["vector"])
+                parse_value(v, parametric)
+                for v in _split_entries(block_value(bkind, body, "vector"))
             )
             if len(vector) != len(flags):
                 raise ValueError("vector length does not match flag count")
         elif "row" not in body:
+            at[0] = begin
             raise ValueError("square block without 'vector' or 'row'")
         else:
-            matrix = tuple(
-                tuple(parse_value(v, parametric) for v in _split_entries(r))
-                for r in body["row"]
-            )
+            matrix = rows_value(body, "row")
             m = len(matrix)
             if any(len(r) != m for r in matrix):
                 raise ValueError("matrix is not square")
@@ -359,10 +391,7 @@ def parse_certificate(text: str) -> Certificate:
                         raise ValueError("matrix is not symmetric")
         inner = len(vector) if vector is not None else len(matrix)
         if "congruence-row" in body:
-            congruence = tuple(
-                tuple(parse_value(v, parametric) for v in _split_entries(r))
-                for r in body["congruence-row"]
-            )
+            congruence = rows_value(body, "congruence-row")
             width = {len(r) for r in congruence}
             if len(width) != 1:
                 raise ValueError("ragged congruence")
@@ -373,9 +402,9 @@ def parse_certificate(text: str) -> Certificate:
 
         psd_condition = psd_factor = None
         if "psd-condition" in body:
+            psd_condition = _parse_poly_literal(block_value(bkind, body, "psd-condition"))
             if not parametric:
                 raise ValueError("psd-condition only applies to parametric kind")
-            psd_condition = _parse_poly_literal(body["psd-condition"])
             psd_factor = parse_value(
                 block_value(bkind, body, "psd-condition-factor"), True
             )
@@ -403,7 +432,7 @@ def parse_certificate(text: str) -> Certificate:
         strict=strict,
         k0=k0,
         alt_bound=alt_bound,
-        note=header.get("note"),
+        note=header["note"][1] if "note" in header else None,
         linear_terms=tuple(linear_terms),
         square_terms=tuple(square_terms),
     )
@@ -765,6 +794,22 @@ class Golden:
             raise ValueError(
                 f"golden {self.label!r} is not a table of {name} rows, "
                 f"which a {kind} certificate needs"
+            )
+
+    def check_certificate(self, cert: Certificate) -> None:
+        """Raise ValueError unless this golden is the table of ``cert``.
+
+        Its rows must fit the certificate's kind, its label must be the
+        certificate's name, and its graphs must have the expansion order.
+        """
+        self.check_kind(cert.kind)
+        rows = self.coefficient_rows + self.polynomial_rows
+        orders = {parse_paircode(r[1]).n for r in rows}
+        orders.update(parse_paircode(code).n for code in self.zero_codes)
+        if self.label != cert.name or orders != {cert.expansion_order}:
+            raise ValueError(
+                f"golden {self.label!r} is not the table of certificate "
+                f"{cert.name!r}, whose graphs have order {cert.expansion_order}"
             )
 
 

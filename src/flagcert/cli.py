@@ -94,7 +94,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"--k0 applies only to parametric certificates, not {cert.kind!r}")
     if args.golden is not None:  # bad input stops before any report line
         golden = load_golden(_stdin_text() if args.golden == "-" else args.golden)
-        golden.check_kind(cert.kind)
+        golden.check_certificate(cert)
     report = verify_certificate(cert, k0=k0)
     for line in report.lines():
         print(line)

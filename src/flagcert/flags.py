@@ -35,8 +35,8 @@ from .graphs import (
     _code_to_mask,
     _enumerate,
     _enumerate_unchecked,
-    _flag_bits,
     _induced_mask,
+    _min_code_cached,
     mask_to_code_bits,
     parse_paircode,
     emit_paircode,
@@ -73,7 +73,7 @@ class Flag:
         return self.graph.mask & (1 << s * (s - 1) // 2) - 1
 
     def canonical_bits(self) -> int:
-        return _flag_bits(self.graph.n, self.graph.mask, self.labels)
+        return _min_code_cached(self.graph.n, self.graph.mask, self.labels)
 
     def isomorphic(self, other: "Flag") -> bool:
         return (
@@ -121,19 +121,18 @@ class FlagVector:
     """Sparse linear combination of flags sharing one type and order.
 
     Coefficients are any exact ring elements (Fraction, RationalFunction).
-    Keys are flag canonical codes; ``items`` pairs each held Flag with
-    its coefficient.
+    Keys are flag canonical codes, the only record of the flags: ``items``
+    rebuilds each flag from its code, so it returns canonical forms.
     ``add`` and ``+`` reject a flag whose labelled vertices induce a
     different type from the flags already held.
     """
 
-    __slots__ = ("labels", "order", "coeffs", "_flags")
+    __slots__ = ("labels", "order", "coeffs")
 
     def __init__(self, labels: int, order: int, items=()):
         self.labels = labels
         self.order = order
         self.coeffs: dict[int, object] = {}
-        self._flags: dict[int, Flag] = {}
         for flag, c in items:
             self.add(flag, c)
 
@@ -147,25 +146,26 @@ class FlagVector:
         if held is not None and flag.type_mask != held:
             raise ValueError(f"flag {flag} has another type than the vector's flags")
         bits = flag.canonical_bits()
-        self._flags.setdefault(bits, flag)
         cur = self.coeffs.get(bits, 0) + c
         self.coeffs[bits] = cur
 
+    def _flag(self, bits: int) -> Flag:
+        return Flag(SmallGraph(self.order, _code_to_mask(self.order, bits)), self.labels)
+
     def _type_mask(self) -> int | None:
         """Type mask shared by the held flags; None while there are none."""
-        for flag in self._flags.values():
-            return flag.type_mask
+        for bits in self.coeffs:
+            return self._flag(bits).type_mask
         return None
 
     def items(self):
-        return [(self._flags[b], c) for b, c in sorted(self.coeffs.items())]
+        return [(self._flag(b), c) for b, c in sorted(self.coeffs.items())]
 
     def coefficient(self, flag: Flag):
         return self.coeffs.get(flag.canonical_bits(), 0)
 
     def scaled(self, factor) -> "FlagVector":
         out = FlagVector(self.labels, self.order)
-        out._flags = dict(self._flags)
         out.coeffs = {b: c * factor for b, c in self.coeffs.items()}
         return out
 
@@ -176,7 +176,6 @@ class FlagVector:
         if mine is not None and theirs is not None and mine != theirs:
             raise ValueError("adding vectors of different types")
         out = FlagVector(self.labels, self.order)
-        out._flags = {**other._flags, **self._flags}
         out.coeffs = dict(self.coeffs)
         for b, c in other.coeffs.items():
             out.coeffs[b] = out.coeffs.get(b, 0) + c
@@ -192,7 +191,7 @@ TABLE_CACHE_SIZE = 16
 
 
 def _sub_flag_bits(rows, vertices: tuple[int, ...], labels: int) -> int:
-    return _flag_bits(len(vertices), _induced_mask(rows, vertices), labels)
+    return _min_code_cached(len(vertices), _induced_mask(rows, vertices), labels)
 
 
 def _placements(g: SmallGraph, type_n: int, type_mask: int):
@@ -227,7 +226,7 @@ def _count_table(
     tuple inducing the type; only 0..s-1 when pinned) and each ordered
     split of the other vertices into disjoint parts of p - s vertices,
     p in ``parts``, yields the tuple of the parts' flag codes.  Returns
-    (rows, total): rows is [(host code, host, {code tuple: count})] in code
+    (rows, total): rows is [(host code, {code tuple: count})] in code
     order, and count/total is the probability of that tuple.
     """
     s = type_n
@@ -252,7 +251,7 @@ def _count_table(
             for split in splits:
                 key = tuple(map(code.__getitem__, split))
                 counts[key] = counts.get(key, 0) + 1
-        rows.append((mask_to_code_bits(l, g.mask), g, counts))
+        rows.append((mask_to_code_bits(l, g.mask), counts))
     return rows, len(splits) * (1 if pinned else math.perm(l, s))
 
 
@@ -261,7 +260,7 @@ def _expand(table, labels: int, order: int, weights: dict) -> FlagVector:
     rows, total = table
     scale = Fraction(1, total)
     out = FlagVector(labels, order)
-    for bits, g, counts in rows:
+    for bits, counts in rows:
         acc = 0
         for key, cnt in counts.items():
             w = weights.get(key)
@@ -269,7 +268,6 @@ def _expand(table, labels: int, order: int, weights: dict) -> FlagVector:
                 acc = acc + w * cnt
         if acc != 0:
             out.coeffs[bits] = acc * scale
-            out._flags[bits] = Flag(g, labels)
     return out
 
 
@@ -310,10 +308,7 @@ def lift(vec: FlagVector, l: int) -> FlagVector:
         weights = {(b,): c for b, c in vec.coeffs.items()}
         return _expand(_count_table(0, 0, l, (vec.order,)), 0, l, weights)
     out = FlagVector(0, l)  # p(f, g) is 1 when f and g are isomorphic, else 0
-    for b, c in sorted(vec.coeffs.items()):
-        if c != 0:
-            out.coeffs[b] = c
-            out._flags[b] = Flag(SmallGraph(l, _code_to_mask(l, b)), 0)
+    out.coeffs = {b: c for b, c in sorted(vec.coeffs.items()) if c != 0}
     return out
 
 

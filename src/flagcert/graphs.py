@@ -6,24 +6,25 @@ upper triangle.  Bit ``j*(j-1)//2 + i`` holds the pair ``(i, j)`` with
 (0,3), ...  This matches the bit order of the graph6 format and lets a
 graph grow by one vertex by appending a column of bits.
 
-Canonical forms are computed by branch-and-bound over vertex placements:
-the canonical code is the lexicographically minimal column-major bit
-string over all orderings.  Candidates that are twins (swapping them is
-an automorphism) are explored once, which keeps highly symmetric graphs
-(empty, complete, balanced multipartite) cheap.
+The canonical code is the lexicographically minimal column-major bit
+string over all vertex orderings (a flag's labelled vertices pinned).
+One bitset branch and bound, ``_search``, serves both the minimal code
+and the canonicity test: it follows only placements whose columns equal
+a list of best columns, which the minimal code lowers as it goes and the
+canonicity test fixes to the identity columns, stopping at the first
+smaller one.  Twins (swapping them is an automorphism) are explored
+once, which keeps highly symmetric graphs cheap.  One cache, keyed by
+edge mask, holds the codes: ``_min_code_cached(n, mask, fixed)``.
 
 Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
 1978).  A prefix of a minimal code is the minimal code of the subgraph it
 describes, so the classes of order l are the canonical forms of order
 l-1 plus one new column, kept when the identity order is already
-minimal.  That canonicity test is a bitset branch-and-bound of its own:
-it only follows placements whose columns equal the identity columns, so
-at each depth a few mask operations split the free vertices into "equal
-so far" and "smaller", and any smaller one ends the test.  The column
-loop starts at twice the identity column of the parent's last vertex
-(when that vertex is not pinned): swapping the new vertex with it turns
-the new column c into c >> 1, so every lower column is non-canonical.
-Flag bases (labelled vertices pinned) come from the same generator.
+minimal.  The column loop starts at twice the identity column of the
+parent's last vertex (when that vertex is not pinned): swapping the new
+vertex with it turns the new column c into c >> 1, so every lower column
+is non-canonical.  Flag bases (labelled vertices pinned) come from the
+same generator.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 MAX_ORDER = 9
-
-_INF = 1 << 62
 
 
 def _pair_index(i: int, j: int) -> int:
@@ -104,7 +103,7 @@ class SmallGraph:
         return SmallGraph(self.n, mask)
 
     def canonical_code(self) -> "CanonicalCode":
-        return CanonicalCode(self.n, _min_code(self.n, self.rows()))
+        return CanonicalCode(self.n, _min_code(self.n, self.mask))
 
     def canonical_form(self) -> "SmallGraph":
         code = self.canonical_code()
@@ -141,52 +140,57 @@ def _rows(n: int, mask: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _min_code(n: int, rows: tuple[int, ...], fixed: int = 0) -> int:
-    """Minimal packed code over placements keeping 0..fixed-1 pinned.
-
-    Branch and bound: place one vertex at a time, emitting the column of
-    adjacency bits toward already-placed vertices; keep only placements
-    whose column prefix can still reach the running minimum.  ``fixed``
-    pins that many vertices to their own positions (used for rooted
-    graphs, i.e. flags).
-    """
-    return _min_code_cached(n, rows, fixed)
+def _min_code(n: int, mask: int, fixed: int = 0) -> int:
+    """Minimal packed code with vertices 0..fixed-1 pinned (flags pin labels)."""
+    return _min_code_cached(n, mask, fixed)
 
 
 @lru_cache(maxsize=None)
-def _min_code_cached(n: int, rows: tuple[int, ...], fixed: int) -> int:
-    best = _columns(rows, fixed) + [_INF] * (n - fixed)
-    _descend(rows, fixed, best)
+def _min_code_cached(n: int, mask: int, fixed: int) -> int:
+    # the code is cached here, so the rows it came from need not be
+    rows = _rows.__wrapped__(n, mask)
+    best = list(rows[:fixed]) + [-1] * (n - fixed)
+    _search(rows, fixed, best, False)
     code = 0
-    for d in range(n):
-        code = code << d | best[d]
+    for d, col in enumerate(best):
+        for i in range(d):
+            code = code << 1 | col >> i & 1
     return code
 
 
 def _is_canonical(rows: tuple[int, ...], fixed: int) -> bool:
-    """True when the identity order gives the minimal code (0..fixed-1 pinned).
+    """True when the identity order gives the minimal code (0..fixed-1 pinned)."""
+    return not _search(rows, fixed, rows, True)
 
-    Bitset branch and bound over placements whose columns so far equal the
-    identity columns.  At depth d the identity column's bit toward the
-    i-th placed vertex is ``rows[d] >> i & 1``, so O(d) mask operations
-    split the free vertices into those whose column is still equal and
-    those already smaller; any smaller one proves a smaller code.
+
+def _search(rows: tuple[int, ...], fixed: int, best, stop: bool) -> bool:
+    """Branch and bound over placements whose columns so far equal ``best``.
+
+    ``best[d]`` is the column of depth d as a mask over placement slots:
+    bit i is adjacency to the i-th placed vertex, and -1 stands for the
+    largest column.  Vertices 0..fixed-1 are placed first, in order.  At
+    depth d, O(d) mask operations split the free vertices into those whose
+    column still equals ``best[d]`` and those already smaller.  With
+    ``stop``, returns True at the first smaller column; otherwise lowers
+    ``best`` in place to the minimal code's columns and returns False.
     """
     n = len(rows)
     placed = [rows[u] for u in range(fixed)]  # rows of the placed vertices, in order
 
-    def smaller(free: int, d: int) -> bool:
-        target = rows[d]
+    def descend(free: int, d: int) -> bool:
+        target = best[d]
         eq = free
         for nbrs in placed:
             if target & 1:
                 if eq & ~nbrs:
-                    return True
-                eq &= nbrs
+                    if stop:
+                        return True
+                    eq = _lower(best, d, free, placed)
+                    break
             else:
                 eq &= ~nbrs
-            if not eq:
-                return False
+                if not eq:
+                    return False
             target >>= 1
         if d + 1 == n:
             return False
@@ -203,69 +207,25 @@ def _is_canonical(rows: tuple[int, ...], fixed: int) -> bool:
             else:
                 chosen.append(v)
                 placed.append(rv)
-                if smaller(free ^ bit, d + 1):
+                if descend(free ^ bit, d + 1):
                     return True
                 placed.pop()
         return False
 
-    return fixed >= n or not smaller((1 << n) - (1 << fixed), fixed)
+    return fixed < n and descend((1 << n) - (1 << fixed), fixed)
 
 
-def _columns(rows: tuple[int, ...], upto: int) -> list[int]:
-    """Identity-order code columns of vertices 0..upto-1."""
-    cols = []
-    for d in range(upto):
-        col = 0
-        for i in range(d):
-            col = col << 1 | rows[d] >> i & 1
-        cols.append(col)
-    return cols
-
-
-def _descend(rows: tuple[int, ...], fixed: int, best: list[int]) -> None:
-    """Branch and bound over placements whose columns so far equal ``best``.
-
-    A smaller column lowers ``best`` in place, so it ends as the columns of
-    the minimal code.
-    """
-    n = len(rows)
-
-    def dfs(cands: list[tuple[int, int]], depth: int) -> None:
-        # cands: (column toward the placed vertices, vertex) per unplaced vertex
-        cands.sort()
-        chosen: list[int] = []
-        for col, v in cands:
-            if col > best[depth]:
-                break
-            # swapping twins is an automorphism: explore one representative
-            twin = False
-            for u in chosen:
-                keep = ~(1 << u | 1 << v)
-                if rows[u] & keep == rows[v] & keep:
-                    twin = True
-                    break
-            if twin:
-                continue
-            chosen.append(v)
-            if col < best[depth]:
-                best[depth] = col
-                for t in range(depth + 1, n):
-                    best[t] = _INF
-            if depth + 1 < n:
-                dfs([(c << 1 | rows[w] >> v & 1, w) for c, w in cands if w != v], depth + 1)
-
-    cands = [(0, v) for v in range(n)]
-    for u in range(fixed):  # the pinned vertices come first, in order
-        cands = [(c << 1 | rows[w] >> u & 1, w) for c, w in cands if w != u]
-    if fixed < n:
-        dfs(cands, fixed)
-
-
-@lru_cache(maxsize=None)
-def _flag_bits(n: int, mask: int, labels: int) -> int:
-    """Canonical code of a graph given by its mask, first ``labels`` pinned."""
-    # the code is cached here, so the rows it came from need not be
-    return _min_code(n, _rows.__wrapped__(n, mask), labels)
+def _lower(best: list[int], d: int, free: int, placed: list[int]) -> int:
+    """Set ``best[d]`` to the least column of the free vertices; return them."""
+    col = 0
+    for i, nbrs in enumerate(placed):
+        if free & ~nbrs:
+            free &= ~nbrs
+        else:
+            col |= 1 << i
+    best[d] = col
+    best[d + 1 :] = [-1] * (len(best) - d - 1)
+    return free
 
 
 def _code_to_mask(n: int, bits: int) -> int:
@@ -315,9 +275,7 @@ def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
         if m - 1 >= fixed:
             # swapping the new vertex with vertex m-1 turns its column into
             # col >> 1, so a child is canonical only if col >> 1 >= prev_col
-            prev_col = 0
-            for i in range(m - 1):
-                prev_col = prev_col << 1 | prows[m - 1] >> i & 1
+            prev_col = mask_to_code_bits(m, g.mask) & (1 << m - 1) - 1
             start = prev_col << 1
         for col in range(start, 1 << m):
             nbrs = nbrs_of[col]
@@ -367,11 +325,11 @@ def count_induced(h: SmallGraph, g: SmallGraph) -> int:
     m, n = h.n, g.n
     if m > n:
         return 0
-    target = _flag_bits(m, h.mask, 0)
+    target = _min_code_cached(m, h.mask, 0)
     rows = g.rows()
     total = 0
     for sub in itertools.combinations(range(n), m):
-        if _flag_bits(m, _induced_mask(rows, sub), 0) == target:
+        if _min_code_cached(m, _induced_mask(rows, sub), 0) == target:
             total += 1
     return total
 

@@ -113,11 +113,45 @@ def test_parse_rejects_malformed():
     broken = "\n".join(
         l for l in good.splitlines() if not l.startswith("target:")
     )
-    with pytest.raises(ValueError):
-        parse_certificate(broken)
+    with pytest.raises(ValueError, match="^missing header key 'target'$"):
+        parse_certificate(broken)  # a missing header key names no line
     # asymmetric matrix
     with pytest.raises(ValueError):
         parse_certificate(good.replace("row: 12 ; 41 ; -94", "row: 13 ; 41 ; -94"))
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("kind: numeric", "kind: mystery", 6, "kind must be numeric or parametric"),
+        ("expansion-order: 5", "expansion-order: five", 7, "invalid literal"),
+        ("bound: 45", "bound: 1/0", 11, ""),
+        ("strict: no", "strict: no\nbogus: 1", 13, "unknown key 'bogus' in header"),
+        ("strict: no", "strict: no\nscale: 1", 13, "duplicate key 'scale'"),
+        ("strict: no", "strict: no\nend", 13, "end without begin"),
+        ("strict: no", "strict: no\nno colon here", 13, "expected 'key: value'"),
+        ("begin linear", "begin cubic", 15, "unknown block kind 'cubic'"),
+        ("factor: 1 * 2 ;", "factor: 1 * 2 ; 1 * 2 2 2 ;", 15, "one order per side"),
+        ("factor: 1 * 2 ;", "factor: 1 * 2 2 2 2 2 2 ;", 15, "exceeds the expansion order"),
+        ("begin square", "begin square\nbegin square", 23, "nested begin"),
+        ("labels: 3", "labels: three", 23, "invalid literal"),
+        ("type: 1 2 2", "type: 1 2 2 2 2 2", 24, "type order does not match labels"),
+        ("type: 1 2 2", "type: 2 2 2", 24, "does not carry the declared type"),
+        ("multiplier: 15/256", "multiplier: -15/256", 25, "negative square multiplier"),
+        ("row: 12 ; 41 ; -94", "row: 12 ; 41 ; x", 28, "x"),
+        ("row: 12 ; 41 ; -94", "row: 12 ; 41", 22, "matrix is not square"),
+        ("row: 12 ; 41 ; -94", "row: 13 ; 41 ; -94", 22, "matrix is not symmetric"),
+        ("row: 12 ; 41 ; -94", "row: 12 ; 41 ; -94\npsd-condition: [1]", 29, "parametric kind"),
+        ("row: -115 ; -94 ; 303\nend", "row: -115 ; -94 ; 303", 22, "unterminated block"),
+    ],
+)
+def test_parse_errors_name_their_line(old, new, line, message):
+    # line numbers are those of k4.cert
+    good = _bundled_text("k4.cert")
+    assert good.count(old) == 1
+    with pytest.raises(ValueError, match=f"^certificate line {line}: ") as info:
+        parse_certificate(good.replace(old, new))
+    assert message in str(info.value)
 
 
 def test_parametric_literals_rejected_in_numeric_kind():

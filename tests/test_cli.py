@@ -239,6 +239,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
         ("k4.cert", "profile_curve.golden", None, "coefficient rows"),
         ("appendixA.cert", "appendixB.golden", None, "polynomial rows"),
         ("appendixA.cert", "profile_curve.golden", None, "polynomial rows"),
+        ("k3.cert", "appendixB.golden", None, "not the table of certificate 'k3'"),
+        ("k4.cert", "appendixB.golden", None, "not the table of certificate 'k4'"),
+        ("k4.cert", "-", "golden: k4\n1/2 | 2 2 2\n", "graphs have order 5"),
     ],
 )
 def test_malformed_or_mismatched_golden_exits_two(cert, golden, stdin, message):
@@ -346,6 +349,15 @@ def _drop_lines(text, prefix):
     return "\n".join(l for l in text.splitlines() if not l.startswith(prefix))
 
 
+# the line each error names: a bad value names its key's line, a missing
+# block key the block's begin line, and a missing header key no line
+ERROR_LINE = {
+    "strict": 12, "vector": 15, "factor": 15, "labels": 22, "flags": 22,
+    "multiplier": 22, "type": 22, "row": 22, "psd-condition-factor": 41,
+    "scale": None,
+}
+
+
 @pytest.mark.parametrize(
     "name, edit, key",
     [
@@ -362,6 +374,7 @@ def _drop_lines(text, prefix):
             lambda t: _drop_lines(t, "psd-condition-factor:"),
             "psd-condition-factor",
         ),
+        ("k4.cert", lambda t: _drop_lines(t, "scale:"), "scale"),
     ],
 )
 def test_malformed_certificate_exits_two(capsys, monkeypatch, name, edit, key):
@@ -369,6 +382,11 @@ def test_malformed_certificate_exits_two(capsys, monkeypatch, name, edit, key):
     code, out, err = run(capsys, "verify", "--cert", "-")
     assert code == 2 and out == ""
     assert err.startswith("error:") and repr(key) in err
+    line = ERROR_LINE[key]
+    if line is None:
+        assert "certificate line" not in err
+    else:
+        assert err.startswith(f"error: certificate line {line}: ")
 
 
 def test_psd_condition_on_1x1_matrix_fails_cleanly(capsys, monkeypatch):

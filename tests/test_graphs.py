@@ -1,5 +1,6 @@
 """Graph layer: encodings, canonical forms, counting, compositions."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -174,10 +175,35 @@ def test_canonicity_test_matches_minimisation(g, fixed, canonize):
     fixed = min(fixed, g.n)
     mask = g.mask
     if canonize:  # canonical forms are rare among random masks
-        mask = _code_to_mask(g.n, _min_code(g.n, _rows(g.n, mask), fixed))
-    rows = _rows(g.n, mask)
-    expect = _min_code(g.n, rows, fixed) == mask_to_code_bits(g.n, mask)
-    assert _is_canonical(rows, fixed) == expect
+        mask = _code_to_mask(g.n, _min_code(g.n, mask, fixed))
+    expect = _min_code(g.n, mask, fixed) == mask_to_code_bits(g.n, mask)
+    assert _is_canonical(_rows(g.n, mask), fixed) == expect
+
+
+def _brute_min_code(n: int, mask: int, fixed: int) -> int:
+    """Least identity-order code over all relabellings fixing 0..fixed-1."""
+    g = SmallGraph(n, mask)
+    return min(
+        mask_to_code_bits(n, g.relabelled(tuple(range(fixed)) + tail).mask)
+        for tail in itertools.permutations(range(fixed, n))
+    )
+
+
+def test_min_code_matches_brute_force_up_to_order_5():
+    for n in range(1, 6):
+        for mask in range(1 << n * (n - 1) // 2):
+            for fixed in range(n + 1):
+                assert _min_code(n, mask, fixed) == _brute_min_code(n, mask, fixed)
+
+
+@given(st.integers(6, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1), st.integers(0, n)
+    )
+))
+def test_min_code_matches_brute_force_at_orders_6_and_7(case):
+    n, mask, fixed = case
+    assert _min_code(n, mask, fixed) == _brute_min_code(n, mask, fixed)
 
 
 @given(small_graphs(5))
