@@ -26,9 +26,12 @@ k as ascending coefficient lists (``[30,-45,15]``), or quotients of two
 such lists (``[-30,15]/[-1,1]``).  Numeric certificates allow only
 rationals; parametric certificates allow all three.
 
-Header keys: format, name, kind (numeric|parametric), expansion-order,
-target (paircode), target-coefficient, scale, bound, strict (yes|no),
-k0 (parametric), alt-bound (optional), note (optional).
+The first line is ``format: flagcert 1``; a certificate without it, or
+for another format version, is refused.  Header keys: format, name, kind
+(numeric|parametric), expansion-order, target (paircode),
+target-coefficient, scale, bound, strict (yes|no), k0 (parametric),
+alt-bound (optional), note (optional).  A literal with a zero
+denominator is a parse error ("division by zero").
 
 Linear blocks: ``vector`` and ``factor`` hold ``coeff * paircode``
 entries separated by ``;``; the factor may use ``const`` for the
@@ -79,7 +82,7 @@ def _parse_poly_literal(tok: str) -> KPolynomial:
     inner = tok[1:-1].strip()
     if not inner:
         raise ValueError(f"empty polynomial literal {tok!r}")
-    return KPolynomial([Fraction(p.strip()) for p in inner.split(",")])
+    return KPolynomial([frac(p) for p in inner.split(",")])
 
 
 def parse_value(tok: str, parametric: bool):
@@ -94,7 +97,7 @@ def parse_value(tok: str, parametric: bool):
                 _parse_poly_literal(ns + "]"), _parse_poly_literal("[" + ds)
             )
         return RationalFunction(_parse_poly_literal(tok))
-    value = Fraction(tok)
+    value = frac(tok)
     return RationalFunction(KPolynomial([value])) if parametric else value
 
 
@@ -197,6 +200,8 @@ def _parse_combo(value: str, parametric: bool, allow_const: bool):
     return out
 
 
+# the only certificate format version this verifier reads
+FORMAT = "flagcert 1"
 _HEADER_KEYS = frozenset((
     "format", "name", "kind", "expansion-order", "target",
     "target-coefficient", "scale", "bound", "strict", "k0",
@@ -228,11 +233,15 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def _parse_certificate(text: str, at: list) -> Certificate:
+    lines = list(_clean_lines(text))
+    if lines and lines[0][1].partition(":")[0].strip() != "format":
+        at[0] = lines[0][0]
+        raise ValueError(f"a certificate starts with 'format: {FORMAT}'")
     header: dict[str, tuple[int, str]] = {}  # key -> (line, value)
     blocks: list[tuple[str, int, dict]] = []  # (kind, begin line, body)
     current: dict | None = None
     current_kind = ""
-    for number, line in _clean_lines(text):
+    for number, line in lines:
         at[0] = number
         if line.startswith("begin "):
             if current is not None:
@@ -276,6 +285,9 @@ def _parse_certificate(text: str, at: list) -> Certificate:
         at[0], text = header[key]  # the checks that follow are about its line
         return text
 
+    version = header_value("format")
+    if version != FORMAT:
+        raise ValueError(f"format {version!r} is not {FORMAT!r}")
     kind = header_value("kind", "")
     if kind not in ("numeric", "parametric"):
         raise ValueError(f"kind must be numeric or parametric, got {kind!r}")
@@ -302,7 +314,7 @@ def _parse_certificate(text: str, at: list) -> Certificate:
     scale = poly_value("scale")
     bound = poly_value("bound")
     alt_bound = poly_value("alt-bound") if "alt-bound" in header else None
-    k0 = Fraction(header_value("k0")) if "k0" in header else None
+    k0 = frac(header_value("k0")) if "k0" in header else None
     if parametric and k0 is None:
         at[0] = None
         raise ValueError("parametric certificates must declare k0")
@@ -851,12 +863,12 @@ def load_golden(source) -> Golden:
                     (
                         _parse_poly_literal(parts[0]),
                         _code_of(parse_paircode(parts[1])),
-                        Fraction(parts[2]),
+                        frac(parts[2]),
                     )
                 )
             else:
                 coeff_rows.append(
-                    (Fraction(parts[0]), _code_of(parse_paircode(parts[1])))
+                    (frac(parts[0]), _code_of(parse_paircode(parts[1])))
                 )
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"golden line {number}: {exc}") from None

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .certificates import (
@@ -28,6 +27,7 @@ from .certificates import (
     verify_certificate,
 )
 from .constructions import profile_csv, profile_table
+from .exactmath import frac
 from .graphs import (
     count_induced,
     emit_paircode,
@@ -89,7 +89,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cert == "-" and args.golden == "-":
         raise UsageError("only one of --cert and --golden may read standard input")
     cert = load_certificate(_stdin_text() if args.cert == "-" else args.cert)
-    k0 = Fraction(args.k0) if args.k0 is not None else None
+    k0 = frac(args.k0) if args.k0 is not None else None
     if k0 is not None and not cert.parametric:
         raise UsageError(f"--k0 applies only to parametric certificates, not {cert.kind!r}")
     if args.golden is not None:  # bad input stops before any report line
@@ -152,8 +152,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     try:
-        ks = [Fraction(tok) for tok in args.k.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError):
+        ks = [frac(tok) for tok in args.k.split(",") if tok.strip()]
+    except ValueError:
         raise UsageError(f"--k expects comma-separated rationals, got {args.k!r}")
     report = want_inequality_scan(ks, args.nmax, workers=_threads())
     for line in report.lines():
@@ -193,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("profile", help="emit the lower-bound profile curve as CSV")
-    p.add_argument("--from", dest="from_", type=Fraction, required=True, metavar="Q")
-    p.add_argument("--to", type=Fraction, required=True, metavar="Q")
-    p.add_argument("--step", type=Fraction, required=True, metavar="Q")
+    p.add_argument("--from", dest="from_", type=frac, required=True, metavar="Q")
+    p.add_argument("--to", type=frac, required=True, metavar="Q")
+    p.add_argument("--step", type=frac, required=True, metavar="Q")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(handler=_cmd_profile)
 

@@ -22,13 +22,20 @@ Rat = Union[int, Fraction]
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and exact decimal strings to Fraction."""
+    """Coerce ints, Fractions and exact decimal strings to Fraction.
+
+    A string with a zero denominator raises ValueError, as any other
+    malformed literal does.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in {x.strip()!r}") from None
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction exactly")
 
 

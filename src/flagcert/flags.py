@@ -20,6 +20,14 @@ lift from order m to l is the type-0 table with one part of order m; a
 lift to the same order needs no table.  Coefficients may be Fractions or
 RationalFunctions; the arithmetic only assumes ring operations against
 ints.
+
+The table assembles each sub-flag mask instead of reading it off the
+host.  For each placement it computes every unlabelled vertex's type
+column once: its adjacency to the labels, as an s-bit mask.  A part's
+sub-flag mask is the type mask, the type columns of the part's vertices
+shifted to bit offsets fixed by the part's shape, and the pairs inside
+the part.  Placements grow slot by slot, each slot matching the type's
+own column.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from .graphs import (
     _code_to_mask,
     _enumerate,
     _enumerate_unchecked,
-    _induced_mask,
     _min_code_cached,
     mask_to_code_bits,
     parse_paircode,
@@ -190,18 +197,24 @@ class FlagVector:
 TABLE_CACHE_SIZE = 16
 
 
-def _sub_flag_bits(rows, vertices: tuple[int, ...], labels: int) -> int:
-    return _min_code_cached(len(vertices), _induced_mask(rows, vertices), labels)
+def _placements(rows: tuple[int, ...], s: int, type_mask: int):
+    """Injective s-tuples theta inducing the type, in lexicographic order.
 
-
-def _placements(g: SmallGraph, type_n: int, type_mask: int):
-    """Injective type_n-tuples of V(g) inducing exactly the type graph."""
-    rows = g.rows()
-    return [
-        theta
-        for theta in itertools.permutations(range(g.n), type_n)
-        if _induced_mask(rows, theta) == type_mask
-    ]
+    Theta grows slot by slot: slot a takes each free vertex whose
+    adjacency to theta[:a] is the type's column a.
+    """
+    n = len(rows)
+    out = [()]
+    for a in range(s):
+        column = type_mask >> a * (a - 1) // 2
+        grown = []
+        for theta in out:
+            fits = (1 << n) - 1
+            for b, t in enumerate(theta):
+                fits &= rows[t] if column >> b & 1 else ~rows[t] & ~(1 << t)
+            grown += [theta + (v,) for v in range(n) if fits >> v & 1]
+        out = grown
+    return out
 
 
 def _splits(rest: tuple[int, ...], sizes: tuple[int, ...]) -> list:
@@ -228,26 +241,50 @@ def _count_table(
     p in ``parts``, yields the tuple of the parts' flag codes.  Returns
     (rows, total): rows is [(host code, {code tuple: count})] in code
     order, and count/total is the probability of that tuple.
+
+    A part's sub-flag mask has three pieces.  The type mask fills the
+    first C(s, 2) bits.  The part's j-th vertex has its column at bit
+    C(s+j, 2): its type column in the low s bits, then its pairs with the
+    part's earlier vertices.
     """
     s = type_n
     sizes = tuple(p - s for p in parts)
-    # splits and subsets as positions in the list of unlabelled vertices
-    splits = _splits(tuple(range(l - s)), sizes)
-    subsets = [
-        u for k in set(sizes) for u in itertools.combinations(range(l - s), k)
+    # subsets as positions in the list of unlabelled vertices; a split is
+    # the tuple of its parts' subset indices
+    free = tuple(range(l - s))
+    subsets = [u for k in set(sizes) for u in itertools.combinations(free, k)]
+    index = {u: x for x, u in enumerate(subsets)}
+    splits = [tuple(map(index.__getitem__, split)) for split in _splits(free, sizes)]
+    offsets = [(s + j) * (s + j - 1) // 2 for j in free]
+    # with no labels every type column is 0
+    columns_at = [tuple(zip(offsets, u)) if s else () for u in subsets]
+    pairs_at = [
+        tuple((u[a], u[j], 1 << offsets[j] + s + a) for j in range(len(u)) for a in range(j))
+        for u in subsets
     ]
+    orders = [s + len(u) for u in subsets]
     hosts = _enumerate(l, s, type_mask) if pinned else _enumerate_unchecked(l)
     rows = []
     for g in hosts:
         grows = g.rows()
         counts: dict[tuple[int, ...], int] = {}
-        for theta in [tuple(range(s))] if pinned else _placements(g, s, type_mask):
+        for theta in [tuple(range(s))] if pinned else _placements(grows, s, type_mask):
             rest = [v for v in range(l) if v not in theta]
-            # each subset's code once per placement, shared by every split
-            code = {
-                u: _sub_flag_bits(grows, theta + tuple(rest[i] for i in u), s)
-                for u in subsets
-            }
+            adj = [grows[v] for v in rest]
+            # bit a of a vertex's type column is its adjacency to theta[a]
+            cols = [0] * len(rest)
+            for a, t in enumerate(theta):
+                for i, v in enumerate(rest):
+                    cols[i] |= (grows[t] >> v & 1) << a
+            code = []
+            for at, pairs, n in zip(columns_at, pairs_at, orders):
+                mask = type_mask
+                for off, i in at:
+                    mask |= cols[i] << off
+                for a, b, bit in pairs:
+                    if adj[b] >> rest[a] & 1:
+                        mask |= bit
+                code.append(_min_code_cached(n, mask, s))
             for split in splits:
                 key = tuple(map(code.__getitem__, split))
                 counts[key] = counts.get(key, 0) + 1

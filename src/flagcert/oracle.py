@@ -20,7 +20,6 @@ parallel path hands whole n cells to the workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -310,6 +309,9 @@ def want_inequality_scan(
     pqs = tuple((k.numerator, k.denominator) for k in ks)
     jobs = [(pqs, n, r) for n in range(1, n_max + 1)]
     if workers > 1:
+        # imported here: at the top it would slow the start-up of every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_cell, jobs))
     else:
@@ -459,6 +461,8 @@ def _induced_counts(
             (h.mask, h.n, n, [g.mask for g in hosts[i : i + step]])
             for i in range(0, len(hosts), step)
         ]
+        from concurrent.futures import ProcessPoolExecutor  # see want_inequality_scan
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_chunk, jobs))
         return [c for part in parts for c in part]

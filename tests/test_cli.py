@@ -235,6 +235,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
         ("k4.cert", "-", "golden: x\nzero\n", "golden line 2"),
         ("k4.cert", "-", "golden: x\n# rows\n[1,2] | 2 2 2\n", "golden line 3"),
         ("k4.cert", "-", "golden: x\n1/0 | 2 2 2\n", "golden line 2"),
+        ("k4.cert", "-", "golden: k4\n1/0 | 2 2 2\n", "golden line 2: division by zero"),
+        (
+            "appendixA.cert", "-", "golden: appendixA\n[1,1/0] | 2 2 2 | 5\n",
+            "golden line 2: division by zero in '1/0'",
+        ),
         ("k4.cert", "appendixC.golden", None, "coefficient rows"),
         ("k4.cert", "profile_curve.golden", None, "coefficient rows"),
         ("appendixA.cert", "appendixB.golden", None, "polynomial rows"),
@@ -387,6 +392,46 @@ def test_malformed_certificate_exits_two(capsys, monkeypatch, name, edit, key):
         assert "certificate line" not in err
     else:
         assert err.startswith(f"error: certificate line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda t: t.replace("format: flagcert 1", "format: nonsense 7"),
+            "certificate line 4: format 'nonsense 7' is not 'flagcert 1'",
+        ),
+        (
+            lambda t: _drop_lines(t, "format:"),
+            "certificate line 4: a certificate starts with 'format: flagcert 1'",
+        ),
+        (
+            lambda t: t.replace("row: 91 ; 12 ; -115", "row: 91 ; 1/0 ; -115"),
+            "certificate line 27: division by zero in '1/0'",
+        ),
+    ],
+)
+def test_bad_format_or_zero_denominator_exits_two(capsys, monkeypatch, edit, message):
+    # line numbers are those of k4.cert, whose format line is line 4
+    monkeypatch.setattr(sys, "stdin", io.StringIO(edit(_bundled_text("k4.cert"))))
+    assert run(capsys, "verify", "--cert", "-") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("profile", "--from", "0", "--to", "1", "--step", "1/0"),
+        ("verify", "--cert", "appendixA.cert", "--k0", "1/0"),
+    ],
+)
+def test_zero_denominator_argument_exits_two(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a bad --step itself
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    assert "'1/0'" in err and "Fraction(1, 0)" not in err
 
 
 def test_psd_condition_on_1x1_matrix_fails_cleanly(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagcert import flags
 from flagcert.constructions import BlowupModel, model_value
 from flagcert.exactmath import KPolynomial, RationalFunction, SymMatrix, psd_check
 from flagcert.flags import (
@@ -24,10 +26,15 @@ from flagcert.flags import (
 )
 from flagcert.graphs import (
     SmallGraph,
+    _enumerate,
+    _enumerate_unchecked,
+    _induced_mask,
+    _min_code_cached,
     complete,
     empty,
     enumerate_graphs,
     induced_density,
+    mask_to_code_bits,
     parse_paircode,
 )
 
@@ -455,3 +462,74 @@ def test_flag_vector_validation():
         v.add(Flag(complete(2), 1), Fraction(1))  # wrong order
     with pytest.raises(ValueError):
         v.add(Flag(complete(3), 2), Fraction(1))  # wrong label count
+
+
+# ---------------------------------------------------------------------------
+# the count table against the direct loop
+
+
+def ref_count_table(s, type_mask, l, parts, pinned=False):
+    """The count table by permutations, induced masks and canonical codes."""
+    sizes = tuple(p - s for p in parts)
+    free = tuple(range(l - s))
+    splits = flags._splits(free, sizes)
+    subsets = [u for k in set(sizes) for u in itertools.combinations(free, k)]
+    hosts = _enumerate(l, s, type_mask) if pinned else _enumerate_unchecked(l)
+    rows = []
+    for g in hosts:
+        grows = g.rows()
+        counts = {}
+        thetas = [tuple(range(s))] if pinned else [
+            theta
+            for theta in itertools.permutations(range(l), s)
+            if _induced_mask(grows, theta) == type_mask
+        ]
+        for theta in thetas:
+            rest = [v for v in range(l) if v not in theta]
+            code = {
+                u: _min_code_cached(
+                    s + len(u), _induced_mask(grows, theta + tuple(rest[i] for i in u)), s
+                )
+                for u in subsets
+            }
+            for split in splits:
+                key = tuple(code[u] for u in split)
+                counts[key] = counts.get(key, 0) + 1
+        rows.append((mask_to_code_bits(l, g.mask), counts))
+    return rows, len(splits) * (1 if pinned else math.perm(l, s))
+
+
+# the tables behind the four bundled certificates
+BUNDLED_TABLE_KEYS = [
+    (0, 0, 5, (3, 2)), (0, 0, 6, (3, 3)), (0, 0, 6, (4, 2)), (0, 0, 6, (5,)),
+    (2, 1, 6, (4, 4)), (3, 0, 5, (4, 4)), (3, 3, 5, (4, 4)), (3, 6, 5, (4, 4)),
+]
+
+
+def _table_keys():
+    """Every table an operation asks for, over labelled types of order <= 3.
+
+    Hosts have order l <= 6.  ``unlabel`` reads one part of order l, a lift
+    (type order 0) one part of any order, and the product and the pair
+    expansions two parts that share out all l - s unlabelled vertices.
+    """
+    for s in range(4):
+        for type_mask in range(1 << s * (s - 1) // 2):
+            for l in range(max(s, 1), 7):
+                for p in range(s + 1, l + 1):
+                    if s == 0 or p == l:
+                        yield s, type_mask, l, (p,)
+                    if p < l:
+                        yield s, type_mask, l, (p, l - p + s)
+
+
+def test_count_table_keys_cover_the_bundle():
+    keys = set(_table_keys())
+    assert set(BUNDLED_TABLE_KEYS) <= keys and len(keys) == 119
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_count_table_matches_direct_loop(pinned):
+    table = flags._count_table.__wrapped__  # the cache stays as it was
+    for key in BUNDLED_TABLE_KEYS + list(_table_keys()):
+        assert table(*key, pinned) == ref_count_table(*key, pinned), key

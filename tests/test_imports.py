@@ -2,6 +2,8 @@
 library and its own modules, by relative import."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,21 @@ def test_library_imports_only_stdlib_or_relative():
         if name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only FLAGCERT_THREADS > 1 makes a pool, so no command pays its import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, flagcert.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
