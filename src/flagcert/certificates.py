@@ -7,17 +7,20 @@ the expansion of
                                  +  sum of multiplier * [[ F M F^T ]]
 
 over the label-free basis of ``expansion-order`` must have every
-coefficient, times ``scale``, at most ``bound`` (strictly, if declared).
-``scale`` and ``target-coefficient`` must be positive (on the ray
-[k0, oo) for the parametric kind), or the bound says nothing about the
-target.  Square terms are nonnegative when M is PSD and the multiplier is
-nonnegative.  One pivoted LDL^T (``exactmath.psd_check``) decides every
-matrix block, of any size: over Q for the numeric kind, over Q(k) on the
-ray [k0, oo) for the parametric kind, where no entry may have a pole on
-the ray.  Linear terms vanish (numeric kind) or are nonnegative
-(parametric kind) under the certificate's edge-density assumption, so a
-verified expansion bounds the target density by
-bound / (scale * target-coefficient).
+coefficient c meet the bound (strictly, if declared): a numeric
+certificate needs ``scale * c <= bound``, a parametric one needs
+``scale * (bound - c)`` to be a polynomial nonnegative on [k0, oo).
+``scale`` and ``target-coefficient`` must be positive (on the ray for
+the parametric kind), or the bound says nothing about the target.
+Square terms are nonnegative when M is PSD and the multiplier is
+nonnegative.  One pivoted LDL^T (``exactmath.psd_check``) decides each
+declared M, of any size, over Q or over Q(k) on the ray, where no entry
+may have a pole; M PSD implies B M B^T PSD, so a congruence B needs no
+check of its own.  Linear terms vanish (numeric kind) or are
+nonnegative (parametric kind) under the certificate's edge-density
+assumption, so a verified expansion bounds the target density by
+bound / (scale * target-coefficient) (numeric) or by
+bound / target-coefficient (parametric; 15(k-1)(k-2)/k^4 for appendixA).
 
 File format: ``key: value`` header lines, then term blocks bracketed by
 ``begin linear``/``begin square`` ... ``end``.  ``#`` starts a comment.
@@ -30,7 +33,7 @@ The first line is ``format: flagcert 1``; a certificate without it, or
 for another format version, is refused.  Header keys: format, name, kind
 (numeric|parametric), expansion-order, target (paircode),
 target-coefficient, scale, bound, strict (yes|no), k0 (parametric),
-alt-bound (optional), note (optional).  A literal with a zero
+alt-bound (optional, numeric), note (optional).  A literal with a zero
 denominator is a parse error ("division by zero").
 
 Linear blocks: ``vector`` and ``factor`` hold ``coeff * paircode``
@@ -313,6 +316,9 @@ def _parse_certificate(text: str, at: list) -> Certificate:
     target_coefficient = poly_value("target-coefficient")
     scale = poly_value("scale")
     bound = poly_value("bound")
+    if parametric and "alt-bound" in header:
+        at[0] = header["alt-bound"][0]
+        raise ValueError("alt-bound only applies to numeric kind")
     alt_bound = poly_value("alt-bound") if "alt-bound" in header else None
     k0 = frac(header_value("k0")) if "k0" in header else None
     if parametric and k0 is None:
@@ -476,14 +482,12 @@ def _read_text(source) -> str:
 # expansion
 
 
-def _vector_from(entries, order: int, parametric: bool) -> FlagVector:
+def _vector_from(entries, order: int) -> FlagVector:
     out = FlagVector(0, order)
-    basis = enumerate_graphs(order)
-    one = RationalFunction(KPolynomial([1])) if parametric else Fraction(1)
     for coeff, g in entries:
         if g is None:
-            for h in basis:
-                out.add(Flag(h, 0), coeff * one)
+            for h in enumerate_graphs(order):
+                out.add(Flag(h, 0), coeff)
         else:
             out.add(Flag(g, 0), coeff)
     return out
@@ -492,13 +496,11 @@ def _vector_from(entries, order: int, parametric: bool) -> FlagVector:
 def certificate_expansion(cert: Certificate) -> FlagVector:
     """target_coefficient * target + all terms, over F_{expansion_order}."""
     order = cert.expansion_order
-    parametric = cert.parametric
-    tvec = FlagVector(0, cert.target.n)
-    tvec.add(Flag(cert.target, 0), cert.target_coefficient)
-    total = lift(tvec, order)
+    target = ((cert.target_coefficient, cert.target),)
+    total = lift(_vector_from(target, cert.target.n), order)
     for lt in cert.linear_terms:
-        v = _vector_from(lt.vector, lt.vector_order, parametric)
-        f = _vector_from(lt.factor, lt.factor_order, parametric)
+        v = _vector_from(lt.vector, lt.vector_order)
+        f = _vector_from(lt.factor, lt.factor_order)
         prod = bilinear_expansion(v, f)
         total = total + lift(prod, order)
     for st in cert.square_terms:
@@ -564,74 +566,25 @@ def verify_density_certificate(cert: Certificate) -> VerificationReport:
     """Check a numeric certificate; see the module docstring for the rules."""
     if cert.parametric:
         raise ValueError("numeric verifier given a parametric certificate")
-    failures = _scaling_failures(cert, None)
-    notes: list[str] = []
-    if cert.note:
-        notes.append(cert.note)
-
-    for i, st in enumerate(cert.square_terms):
-        if st.multiplier < 0:
-            failures.append(f"square term {i}: negative multiplier {st.multiplier}")
-        problem = _psd_failure(st.full_matrix(), lambda d: d >= 0, "")
-        if problem:
-            failures.append(f"square term {i}: {problem}")
-
-    expansion = certificate_expansion(cert)
-    coefficients: dict[str, Fraction] = {}
-    max_c = None
-    argmax = None
-    zero = []
-    for g in enumerate_graphs(cert.expansion_order):
-        c = expansion.coefficient(Flag(g, 0)) * cert.scale
-        code = _code_of(g)
-        coefficients[code] = c
-        if max_c is None or c > max_c:
-            max_c, argmax = c, code
-        ok = c < cert.bound if cert.strict else c <= cert.bound
-        if not ok:
-            rel = "<" if cert.strict else "<="
-            failures.append(f"coefficient {c} at {code} violates {rel} {cert.bound}")
-        if c == cert.bound:
-            zero.append(code)
-
-    if cert.alt_bound is not None:
-        met = max_c < cert.alt_bound if cert.strict else max_c <= cert.alt_bound
-        if met:
-            notes.append(f"alternative bound {cert.alt_bound} also holds")
-        else:
-            notes.append(
-                f"alternative bound {cert.alt_bound} NOT met: max scaled "
-                f"coefficient is {max_c} (~{float(max_c):.6f}); only the "
-                f"declared bound {cert.bound} verifies"
-            )
-
-    return VerificationReport(
-        name=cert.name,
-        kind=cert.kind,
-        verdict="PASS" if not failures else "FAIL",
-        k0=None,
-        coefficients=coefficients,
-        max_coefficient=max_c,
-        argmax=argmax,
-        zero_set=tuple(zero),
-        largest_roots=None,
-        psd_condition_root=None,
-        failures=tuple(failures),
-        notes=tuple(notes),
-    )
+    return _verify(cert, None)
 
 
-def _scaling_failures(cert: Certificate, k0: Fraction | None) -> list[str]:
-    """target-coefficient and scale must be positive, on [k0, oo) if parametric."""
-    failures = []
-    for key, value in (
-        ("target-coefficient", cert.target_coefficient), ("scale", cert.scale)
-    ):
-        if not cert.parametric and value <= 0:
-            failures.append(f"{key} {value} is not positive")
-        elif cert.parametric and not positive_on_ray(value, k0):
-            failures.append(f"{key} {value.pretty()} is not positive on [{k0}, oo)")
-    return failures
+def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationReport:
+    """Check a parametric certificate on the ray [k0, oo)."""
+    if not cert.parametric:
+        raise ValueError("parametric verifier given a numeric certificate")
+    return _verify(cert, frac(k0) if k0 is not None else cert.k0)
+
+
+def verify_certificate(cert: Certificate, k0=None) -> VerificationReport:
+    """Check a certificate of either kind; ``k0`` moves a parametric ray."""
+    if cert.parametric:
+        return verify_parametric_certificate(cert, k0)
+    if k0 is not None:
+        raise ValueError(
+            f"k0 applies only to parametric certificates, not {cert.kind!r}"
+        )
+    return verify_density_certificate(cert)
 
 
 def _psd_failure(rows, nonneg, where: str) -> str | None:
@@ -655,108 +608,133 @@ def _ray_problem(value, k0: Fraction) -> str | None:
     return f"is negative somewhere on [{k0}, oo)"
 
 
-def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationReport:
-    """Check a parametric certificate on the ray [k0, oo)."""
-    if not cert.parametric:
-        raise ValueError("parametric verifier given a numeric certificate")
-    k0 = frac(k0) if k0 is not None else cert.k0
-    failures = _scaling_failures(cert, k0)
-    notes: list[str] = []
-    if cert.note:
-        notes.append(cert.note)
+def _largest_root(p: KPolynomial) -> Fraction | None:
+    """p's largest real root to within 10^-9, or None if p has none."""
+    try:
+        return isolate_largest_real_root(p, Fraction(1, 10**9)).midpoint
+    except ValueError:
+        return None
 
-    for i, lt in enumerate(cert.linear_terms):
+
+def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
+    """The one verdict path; ``k0 is None`` means the numeric kind.
+
+    The kind picks the sign predicates, over Q or on the ray [k0, oo),
+    the deficit rule and the report's coefficient lines.
+    """
+    parametric = k0 is not None
+    if parametric:
+        ray = f" on [{k0}, oo)"
+        problem = lambda x: _ray_problem(x, k0)
+        positive = lambda x: positive_on_ray(x, k0)
+    else:
+        ray = ""
+        problem = lambda x: "is negative" if x < 0 else None
+        positive = lambda x: x > 0
+    failures: list[str] = []
+    notes = [cert.note] if cert.note else []
+    for key, value in (
+        ("target-coefficient", cert.target_coefficient), ("scale", cert.scale)
+    ):
+        if not positive(value):
+            shown = value.pretty() if parametric else value
+            failures.append(f"{key} {shown} is not positive{ray}")
+
+    # a numeric linear term vanishes at its pinned density: no signs to check
+    for i, lt in enumerate(cert.linear_terms if parametric else ()):
         for coeff, g in lt.vector:
-            problem = _ray_problem(coeff, k0)
-            if problem:
+            why = problem(coeff)
+            if why:
                 failures.append(
-                    f"linear term {i}, multiplier of {emit_paircode(g)}: "
-                    f"{coeff} {problem}"
+                    f"linear term {i}, multiplier of {emit_paircode(g)}: {coeff} {why}"
                 )
 
     psd_root = None
     for i, st in enumerate(cert.square_terms):
-        problem = _ray_problem(st.multiplier, k0)
-        if problem:
-            failures.append(f"square term {i} multiplier: {st.multiplier} {problem}")
+        why = problem(st.multiplier)
+        if why:
+            failures.append(f"square term {i} multiplier: {st.multiplier} {why}")
         m = st.matrix
         condition_holds = True
+        # the parser allows psd-condition only in a parametric certificate
         if st.psd_condition is not None and (m is None or len(m) != 2):
             failures.append(f"square term {i}: psd-condition requires a 2x2 matrix")
         elif st.psd_condition is not None:
             # optional cross-check: det M = factor * P with P >= 0 on the ray
+            factor = st.psd_condition_factor
             det = m[0][0] * m[1][1] - m[0][1] * m[0][1]
-            claimed = st.psd_condition_factor * RationalFunction(st.psd_condition)
-            if det != claimed:
+            if det != factor * RationalFunction(st.psd_condition):
                 failures.append(
                     f"square term {i}: det does not factor through the "
                     "declared psd-condition"
                 )
-            fnum, fden = st.psd_condition_factor.num, st.psd_condition_factor.den
-            if not (positive_on_ray(fnum, k0) and positive_on_ray(fden, k0)):
+            if not (positive(factor.num) and positive(factor.den)):
                 failures.append(
-                    f"square term {i}: psd-condition-factor is not positive "
-                    f"on [{k0}, oo)"
+                    f"square term {i}: psd-condition-factor is not positive{ray}"
                 )
-            try:
-                psd_root = isolate_largest_real_root(
-                    st.psd_condition, Fraction(1, 10**9)
-                ).midpoint
-            except ValueError:
-                psd_root = None
+            psd_root = _largest_root(st.psd_condition)
             condition_holds = nonneg_on_ray(st.psd_condition, k0)
             if not condition_holds:
                 failures.append(
                     f"square term {i}: psd condition polynomial "
-                    f"{st.psd_condition.pretty()} is negative on [{k0}, oo)"
+                    f"{st.psd_condition.pretty()} is negative{ray}"
                     + (f" (largest root ~{float(psd_root):.7f})" if psd_root else "")
                 )
         if m is None:
             continue  # v v^T is PSD whenever the multiplier is nonnegative
         # the denominators are monic: positive on the ray iff no root there
-        if not all(positive_on_ray(e.den, k0) for row in m for e in row):
-            failures.append(f"square term {i}: matrix entry has a pole on [{k0}, oo)")
+        if parametric and not all(positive(e.den) for row in m for e in row):
+            failures.append(f"square term {i}: matrix entry has a pole{ray}")
         elif condition_holds:
-            problem = _psd_failure(
-                m, lambda d: _ray_problem(d, k0) is None, f" on [{k0}, oo)"
-            )
-            if problem:
-                failures.append(f"square term {i}: {problem}")
+            why = _psd_failure(m, lambda d: problem(d) is None, ray)
+            if why:
+                failures.append(f"square term {i}: {why}")
 
     expansion = certificate_expansion(cert)
-    scale_rf = RationalFunction(cert.scale)
-    bound_rf = RationalFunction(cert.bound)
-    coefficients: dict[str, KPolynomial] = {}
+    coefficients: dict = {}
     roots: dict[str, Fraction] = {}
     zero = []
     for g in enumerate_graphs(cert.expansion_order):
         c = expansion.coefficient(Flag(g, 0))
-        if c == 0:
-            c = RationalFunction(KPolynomial([0]))
-        deficit = scale_rf * (bound_rf - c)
         code = _code_of(g)
-        if not deficit.is_polynomial:
-            failures.append(f"deficit at {code} is not a polynomial: {deficit}")
-            continue
-        poly = deficit.as_polynomial()
-        coefficients[code] = poly
-        if poly and not nonneg_on_ray(poly, k0):
-            failures.append(
-                f"deficit {poly.pretty()} at {code} is negative on [{k0}, oo)"
-            )
-        elif cert.strict and not positive_on_ray(poly, k0):
-            failures.append(
-                f"deficit {poly.pretty()} at {code} is not positive on [{k0}, oo)"
-            )
-        if poly.is_zero:
+        if parametric:
+            deficit = RationalFunction(cert.scale) * (RationalFunction(cert.bound) - c)
+            if not deficit.is_polynomial:
+                failures.append(f"deficit at {code} is not a polynomial: {deficit}")
+                continue
+            deficit = coefficients[code] = deficit.as_polynomial()
+        else:
+            c = coefficients[code] = c * cert.scale
+            deficit = cert.bound - c
+        negative = problem(deficit) is not None
+        if negative or cert.strict and not positive(deficit):
+            if parametric:
+                sign = "negative" if negative else "not positive"
+                failures.append(f"deficit {deficit.pretty()} at {code} is {sign}{ray}")
+            else:
+                rel = "<" if cert.strict else "<="
+                failures.append(f"coefficient {c} at {code} violates {rel} {cert.bound}")
+        if not deficit:
             zero.append(code)
-            continue
-        try:
-            roots[code] = isolate_largest_real_root(
-                poly, Fraction(1, 10**9)
-            ).midpoint
-        except ValueError:
-            pass
+        elif parametric:
+            root = _largest_root(deficit)
+            if root is not None:
+                roots[code] = root
+    # the first of the largest scaled coefficients, numeric kind only
+    argmax = None if parametric else max(coefficients, key=coefficients.get)
+    max_c = coefficients.get(argmax)
+
+    # the parser allows alt-bound only in a numeric certificate
+    if cert.alt_bound is not None:
+        met = max_c < cert.alt_bound if cert.strict else max_c <= cert.alt_bound
+        if met:
+            notes.append(f"alternative bound {cert.alt_bound} also holds")
+        else:
+            notes.append(
+                f"alternative bound {cert.alt_bound} NOT met: max scaled "
+                f"coefficient is {max_c} (~{float(max_c):.6f}); only the "
+                f"declared bound {cert.bound} verifies"
+            )
 
     return VerificationReport(
         name=cert.name,
@@ -764,20 +742,14 @@ def verify_parametric_certificate(cert: Certificate, k0=None) -> VerificationRep
         verdict="PASS" if not failures else "FAIL",
         k0=k0,
         coefficients=coefficients,
-        max_coefficient=None,
-        argmax=None,
+        max_coefficient=max_c,
+        argmax=argmax,
         zero_set=tuple(zero),
-        largest_roots=roots,
+        largest_roots=roots if parametric else None,
         psd_condition_root=psd_root,
         failures=tuple(failures),
         notes=tuple(notes),
     )
-
-
-def verify_certificate(cert: Certificate, k0=None) -> VerificationReport:
-    if cert.parametric:
-        return verify_parametric_certificate(cert, k0)
-    return verify_density_certificate(cert)
 
 
 # ---------------------------------------------------------------------------

@@ -89,13 +89,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cert == "-" and args.golden == "-":
         raise UsageError("only one of --cert and --golden may read standard input")
     cert = load_certificate(_stdin_text() if args.cert == "-" else args.cert)
-    k0 = frac(args.k0) if args.k0 is not None else None
-    if k0 is not None and not cert.parametric:
-        raise UsageError(f"--k0 applies only to parametric certificates, not {cert.kind!r}")
     if args.golden is not None:  # bad input stops before any report line
         golden = load_golden(_stdin_text() if args.golden == "-" else args.golden)
         golden.check_certificate(cert)
-    report = verify_certificate(cert, k0=k0)
+    report = verify_certificate(cert, k0=args.k0)
     for line in report.lines():
         print(line)
     mismatches: list[str] = []
@@ -188,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a certificate file")
     p.add_argument("--cert", required=True, help="certificate path, bundled name, or - for stdin")
-    p.add_argument("--k0", default=None, help="ray base point for parametric certificates")
+    p.add_argument("--k0", type=frac, default=None, help="ray base point for parametric certificates")
     p.add_argument("--golden", default=None, help="reference table to compare the report against")
     p.set_defaults(handler=_cmd_verify)
 

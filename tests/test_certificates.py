@@ -260,6 +260,30 @@ def test_negative_multiplier_rejected():
     assert any("multiplier" in f for f in report.failures)
 
 
+# A numeric block B M B^T is PSD when its declared M is, and M is what the
+# verifier decides.  Each case appends one multiplier-0 block to k4, so the
+# verdict turns on M alone.  The last M is indefinite although B M B^T
+# (B's first two rows equal, its third zero) is PSD: it fails all the same.
+@pytest.mark.parametrize(
+    "rows, congruence, failures",
+    [
+        ("1 ; 0|0 ; 1", "1 ; 0|0 ; 1|1 ; 1", ()),
+        ("1 ; 0|0 ; -1", "1 ; 0|0 ; 1|1 ; 1", ("square term 1: matrix is not PSD",)),
+        ("1 ; 0|0 ; -1", "1 ; 0|1 ; 0|0 ; 0", ("square term 1: matrix is not PSD",)),
+    ],
+)
+def test_numeric_congruence_block_checks_the_declared_matrix(rows, congruence, failures):
+    body = "".join(f"row: {r}\n" for r in rows.split("|")) + "".join(
+        f"congruence-row: {r}\n" for r in congruence.split("|")
+    )
+    text = _bundled_text("k4.cert") + (
+        "begin square\nlabels: 3\ntype: 1 2 2\nmultiplier: 0\n"
+        f"flags: 1 2 1 2 1 2 ; 1 2 2 2 2 2 ; 1 2 2 2 2 1\n{body}end\n"
+    )
+    report = verify_density_certificate(parse_certificate(text))
+    assert report.failures == failures
+
+
 # ---------------------------------------------------------------------------
 # parametric verification
 
@@ -303,6 +327,8 @@ def test_kind_dispatch_guards():
         verify_parametric_certificate(load_certificate("k3.cert"))
     with pytest.raises(ValueError):
         verify_density_certificate(load_certificate("appendixA.cert"))
+    with pytest.raises(ValueError, match="parametric"):
+        verify_certificate(load_certificate("k4.cert"), k0=100)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +718,127 @@ def test_certificate_expansions_are_frozen(name):
         for g in _enumerate_unchecked(l)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == EXPANSION_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# frozen reports over a mutant corpus
+
+# Each case is (bundled certificate, text replacements, k0 or None).  The
+# corpus covers both kinds on their passing and failing branches: the
+# bundle, each with its strictness flipped, appendixA on rays from 1/2 to
+# 10 (poles, negative multipliers, the psd-condition root near 4.1131),
+# the three k4 diagonal sign flips, and one nudge each of scale,
+# target-coefficient, multiplier, bound and alt-bound.  appendixA with
+# scale [4,-8,5] has deficits that are not polynomials; with square
+# multiplier [-30,15]/[-6,1] it has a pole on the ray as well.
+_FLIP_STRICT = {
+    "k3": ("strict: no", "strict: yes"),
+    "k4": ("strict: no", "strict: yes"),
+    "lemma074": ("strict: yes", "strict: no"),
+    "appendixA": ("strict: no", "strict: yes"),
+}
+_NUDGES = [
+    ("k4", "scale: 128", "scale: 129"),
+    ("k4", "target-coefficient: 1", "target-coefficient: 1.001"),
+    ("k4", "multiplier: 15/256", "multiplier: 15000001/256000000"),
+    ("k4", "bound: 45", "bound: 44.999"),
+    ("lemma074", "alt-bound: 44.94", "alt-bound: 44.95"),
+    ("lemma074", "alt-bound: 44.94", "alt-bound: 44.948"),
+    ("appendixA", "scale: [4,-8,4]", "scale: [4,-8,5]"),
+    ("appendixA", "target-coefficient: [0,0,0,0,1]", "target-coefficient: [0,0,0,1,1]"),
+    ("appendixA", "bound: [30,-45,15]", "bound: [30,-45,14]"),
+    ("appendixA", "multiplier: [-30,15]/[-1,1]", "multiplier: [-30,15]/[-6,1]"),
+    ("appendixA", "multiplier: [-30,15]/[-1,1]", "multiplier: [-30,15]/[-2,1]"),
+    ("appendixA", "vector: [30,-45,15] * 2 2 2", "vector: [30,-45,16] * 2 2 2"),
+]
+REPORT_CORPUS = {
+    **{name: (name, (), None) for name in _FLIP_STRICT},
+    **{name + "-strict-flipped": (name, (flip,), None) for name, flip in _FLIP_STRICT.items()},
+    **{
+        "appendixA-k0-" + k0: ("appendixA", (), k0)
+        for k0 in ("1/2", "1", "2", "3", "4", "81/20", "41/10", "4111/1000", "9/2", "5", "10")
+    },
+    **{
+        "k4-diag " + new: ("k4", ((old, new),), None)
+        for old, new in (
+            ("row: 91 ;", "row: -91 ;"),
+            ("row: 12 ; 41 ;", "row: 12 ; -41 ;"),
+            ("; -94 ; 303", "; -94 ; -303"),
+        )
+    },
+    **{f"{name} {new}": (name, ((old, new),), None) for name, old, new in _NUDGES},
+}
+
+# sha256 of each case's report, recorded before the numeric and parametric
+# verifiers became one path.  The text hashed is four sections, each
+# followed by "--\n" except the last:
+#     report.lines(), one per line;
+#     "<code> <repr of coefficient>\n" per entry of report.coefficients;
+#     "<code> <root>\n" per entry of report.largest_roots (none if None);
+#     "; ".join(report.zero_set) + "\n".
+REPORT_DIGESTS = {
+    "k3": "ab3f318079a7868ff4c9f2682f060f82eaba6e8f1c166f401cfaed845715af12",
+    "k3-strict-flipped": "fbcc2f0606eef0c4def4c70cd2bd4e2b96fe7581c22a102a8079fde16945090c",
+    "k4": "08a0e549da9c3a53283a6e56f971511e3f765c0820793f6021789b10b5100107",
+    "k4-strict-flipped": "e7e728c516bc7ac2449c5eda2b6111739fb51aa9164e57199d84aaa981438cc0",
+    "lemma074": "2758adb4e8a530d488be3abb5cd4d3d147e55eb95a54f1b6d9ee90d6263e49b1",
+    "lemma074-strict-flipped": "2758adb4e8a530d488be3abb5cd4d3d147e55eb95a54f1b6d9ee90d6263e49b1",
+    "appendixA": "10ac0f9608cb4660de004d54d87709804a9db8bb6d3552a4e24fa28ba4405c9b",
+    "appendixA-strict-flipped": "e065a11fb06a3a34b3726c0adf6f6e7a7936b66491547a9b98467734ecfe032c",
+    "appendixA-k0-1/2": "760224fede44e45f71937c5f6f22805ad6467b9451c645207deff11daa62229b",
+    "appendixA-k0-1": "1e2dfe1318822cf97473927a480836e3c17700921d1142643d13ec3038c4bcdd",
+    "appendixA-k0-2": "3ed597469ab44bc1e02951b4ac170b32d7b2c48f06a56e08486c05199abe2a47",
+    "appendixA-k0-3": "6171986304935fc9361f3a94f02143fa512834e10cf2edd1ca7e3e4ff57cc5ec",
+    "appendixA-k0-4": "8d77cea7d6c9a3cfcd0895e7ec870cf6945b5d65c48b6c8f95759fe2680b9458",
+    "appendixA-k0-81/20": "0650f5eb819108b870a47edae2fd14a68708cec1f91ae8d2818ddc4912b2d923",
+    "appendixA-k0-41/10": "1551b71dce54ac3e4d8dca004f2dec5f38dafb46a40ba2455151ed57a2137a40",
+    "appendixA-k0-4111/1000": "f45c4e6d3895a101e3ba01184a59a0d067c2b2747654cba1eb1a66a5c22b6269",
+    "appendixA-k0-9/2": "b0adedb22b4a07fdfa7c65bde5240033e7a7cdde34f55d7cf9344a2ac0db7634",
+    "appendixA-k0-5": "10ac0f9608cb4660de004d54d87709804a9db8bb6d3552a4e24fa28ba4405c9b",
+    "appendixA-k0-10": "cd5a866f5418cb86182951c34f3878149abdd1d64f39369ebe15557b52d5e169",
+    "k4-diag row: -91 ;": "7a9f71f296f3749d773920e71e8c03f3222d4ad06ecebfc5b318382f30b7f6ce",
+    "k4-diag row: 12 ; -41 ;": "30bac7a0fb431f5828f1ab99bd2eafa9dfbc43ce518961a7dd415016dcf82205",
+    "k4-diag ; -94 ; -303": "9325528a40986aef11395abd38a04ea68cb6930d53899317b3b17865af74e4e4",
+    "k4 scale: 129": "d8b046d0ce77a57b70f291be0e9e188f6058ef6c8fce8e50473b285c61b48184",
+    "k4 target-coefficient: 1.001": "bbd1b2600750f676fa8ec20b7f55e29b32c53a72577b2fa59f2bf9dd5314d349",
+    "k4 multiplier: 15000001/256000000": "df2c4a133f5cdc591a3230828a05fb10df8ab18e9837c60a86d38baae6a3f2bc",
+    "k4 bound: 44.999": "2936a9f41942293a752d09533fb3b2ccbcd36654623446072ab3db3e76a3fc42",
+    "lemma074 alt-bound: 44.95": "38742b86301a48fe4ceb75b09478c9b5619508655fb23fe67b9acebb076516ef",
+    "lemma074 alt-bound: 44.948": "fc9d01ec22524cbb31d951e813b953e822d65acd1283a7b6fcc238b6adebb960",
+    "appendixA scale: [4,-8,5]": "fa1146c62d01cc65dc50a61d761b1bb1e835ceb31f12d0957fe8310ca6c043fb",
+    "appendixA target-coefficient: [0,0,0,1,1]": "996ffc2526c57350afb62bed6d01f0b62fbecb0aba7283438696a3c1a072071f",
+    "appendixA bound: [30,-45,14]": "281a477f86bad7c8e97c7fc9ded64c56a98302f7e41517b002493f6f38302f33",
+    "appendixA multiplier: [-30,15]/[-6,1]": "caf5f734f9d152c5d1514f0c1d911985de89a6cf2d7787830e044f1599789d76",
+    "appendixA multiplier: [-30,15]/[-2,1]": "78f2e712f7d602c1e937cc4f361ae3c86071d7232583060595f23bb5ab8d03f4",
+    "appendixA vector: [30,-45,16] * 2 2 2": "72c264b2ff16ae4f5302315f76ef9502b5c00c0ce921619caadca72c4e1f0b1c",
+}
+
+
+def _report_text(report) -> str:
+    return (
+        "\n".join(report.lines()) + "\n--\n"
+        + "".join(f"{c} {v!r}\n" for c, v in report.coefficients.items()) + "--\n"
+        + "".join(f"{c} {v}\n" for c, v in (report.largest_roots or {}).items())
+        + "--\n" + "; ".join(report.zero_set) + "\n"
+    )
+
+
+def test_report_corpus_is_complete():
+    assert sorted(REPORT_CORPUS) == sorted(REPORT_DIGESTS)
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
+def test_reports_are_frozen(case):
+    name, replacements, k0 = REPORT_CORPUS[case]
+    text = _bundled_text(name + ".cert")
+    for old, new in replacements:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    report = verify_certificate(
+        parse_certificate(text), k0=Fraction(k0) if k0 is not None else None
+    )
+    digest = hashlib.sha256(_report_text(report).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[case]
 
 
 def test_count_table_cache_is_bounded_and_holds_the_bundle():

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import os
+import random
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -531,3 +533,63 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "count=2"
+
+
+def test_alt_bound_in_parametric_certificate_exits_two(capsys, monkeypatch):
+    text = _bundled_text("appendixA.cert").replace("k0: 5\n", "k0: 5\nalt-bound: [0]\n")
+    line = text.splitlines().index("alt-bound: [0]") + 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "verify", "--cert", "-") == (
+        2, "", f"error: certificate line {line}: alt-bound only applies to numeric kind\n"
+    )
+
+
+# Line fuzz: every mutant of a bundled certificate or certificate golden
+# either gets a verdict (exit 0 or 1 with a verdict= trailer) or is refused
+# as bad input (exit 2 with one error: line); no traceback, no other exit.
+FUZZ_INPUTS = [
+    ("k3.cert", None),
+    ("k4.cert", None),
+    ("lemma074.cert", None),
+    ("appendixA.cert", None),
+    ("appendixB.golden", "lemma074.cert"),
+    ("appendixC.golden", "appendixA.cert"),
+]
+FUZZ_RUNS = 25
+FUZZ_CHARS = "0123456789 -+*/.;:,[]#abkx"
+
+
+def _fuzz_lines(text, rng):
+    """One to three deletions, duplications, swaps or character edits."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(j, lines[i])
+        elif op == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            at = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:at] + rng.choice(FUZZ_CHARS) + lines[i][at + 1:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, cert", FUZZ_INPUTS)
+def test_line_fuzz_ends_in_a_verdict_or_an_error(capsys, monkeypatch, name, cert):
+    rng = random.Random(name)
+    text = _bundled_text(name)
+    argv = ["verify", "--cert", "-"] if cert is None else [
+        "verify", "--cert", cert, "--golden", "-"
+    ]
+    for _ in range(FUZZ_RUNS):
+        mutant = _fuzz_lines(text, rng)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(mutant))
+        code, out, err = run(capsys, *argv)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, mutant
+        else:
+            assert code in (0, 1) and err == "", mutant
+            assert re.search("^verdict=(PASS|FAIL)$", out, re.M), mutant
