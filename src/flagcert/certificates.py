@@ -385,8 +385,6 @@ def _parse_certificate(text: str, at: list) -> Certificate:
             raise ValueError("square term exceeds the expansion order")
 
         multiplier = parse_value(block_value(bkind, body, "multiplier"), parametric)
-        if not parametric and multiplier < 0:
-            raise ValueError(f"negative square multiplier {multiplier}")
         vector = matrix = congruence = None
         if "vector" in body:
             vector = tuple(
@@ -672,13 +670,15 @@ def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
                 failures.append(
                     f"square term {i}: psd-condition-factor is not positive{ray}"
                 )
-            psd_root = _largest_root(st.psd_condition)
+            root = _largest_root(st.psd_condition)
+            if root is not None and (psd_root is None or root > psd_root):
+                psd_root = root  # the largest over all blocks
             condition_holds = nonneg_on_ray(st.psd_condition, k0)
             if not condition_holds:
                 failures.append(
                     f"square term {i}: psd condition polynomial "
                     f"{st.psd_condition.pretty()} is negative{ray}"
-                    + (f" (largest root ~{float(psd_root):.7f})" if psd_root else "")
+                    + (f" (largest root ~{float(root):.7f})" if root else "")
                 )
         if m is None:
             continue  # v v^T is PSD whenever the multiplier is nonnegative

@@ -25,11 +25,17 @@ parent's last vertex (when that vertex is not pinned): swapping the new
 vertex with it turns the new column c into c >> 1, so every lower column
 is non-canonical.  Flag bases (labelled vertices pinned) come from the
 same generator.
+
+Induced copies and automorphisms are counted by one bitset backtracker,
+``_embedding_count``, which computes no canonical code, so a fault in
+``_search`` cannot reach the oracle's counts; ``count_induced`` divides by
+|Aut(h)| (Lovász 2012).  ``flags._placements`` grows tuples the same way
+but must list them, and listing would hold all 9! automorphisms of an
+empty graph, so it stays separate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -317,21 +323,43 @@ def _induced_mask(rows: tuple[int, ...], vertices: tuple[int, ...]) -> int:
     return mask
 
 
+def _embedding_count(h: SmallGraph, rows: tuple[int, ...]) -> int:
+    """Induced embeddings of h into the graph with adjacency ``rows``.
+
+    Slot a takes the free vertices in the AND of the placed vertices' rows,
+    or of their complements, as h's column a says; the last slot's
+    candidates are counted with ``bit_count()``, not descended into.
+    """
+    columns = h.rows()  # bit b of columns[a]: slots a and b are adjacent
+    last = h.n - 1
+    placed: list[int] = []  # rows of the vertices in slots 0..a-1
+
+    def descend(free: int, a: int) -> int:
+        fits = free
+        column = columns[a]
+        for nbrs in placed:
+            fits &= nbrs if column & 1 else ~nbrs
+            column >>= 1
+        if a == last:
+            return fits.bit_count()
+        total = 0
+        while fits:
+            bit = fits & -fits
+            fits ^= bit
+            placed.append(rows[bit.bit_length() - 1])
+            total += descend(free ^ bit, a + 1)
+            placed.pop()
+        return total
+
+    return descend((1 << len(rows)) - 1, 0)
+
+
 def count_induced(h: SmallGraph, g: SmallGraph) -> int:
     """Number of |h|-subsets of V(g) inducing a copy of h.
 
     Returns 0 when |h| > |g|.
     """
-    m, n = h.n, g.n
-    if m > n:
-        return 0
-    target = _min_code_cached(m, h.mask, 0)
-    rows = g.rows()
-    total = 0
-    for sub in itertools.combinations(range(n), m):
-        if _min_code_cached(m, _induced_mask(rows, sub), 0) == target:
-            total += 1
-    return total
+    return _embedding_count(h, g.rows()) // automorphism_count(h)
 
 
 def induced_density(h: SmallGraph, g: SmallGraph) -> Fraction:
@@ -341,32 +369,10 @@ def induced_density(h: SmallGraph, g: SmallGraph) -> Fraction:
     return Fraction(count_induced(h, g), math.comb(g.n, h.n))
 
 
+@lru_cache(maxsize=64)
 def automorphism_count(g: SmallGraph) -> int:
-    """Order of the automorphism group, by backtracking."""
-    rows = g.rows()
-    n = g.n
-    degs = [bin(r).count("1") for r in rows]
-
-    def extend(image: list[int], used: int) -> int:
-        v = len(image)
-        if v == n:
-            return 1
-        total = 0
-        for w in range(n):
-            if used >> w & 1 or degs[w] != degs[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (rows[v] >> u & 1) != (rows[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                image.append(w)
-                total += extend(image, used | 1 << w)
-                image.pop()
-        return total
-
-    return extend([], 0)
+    """Order of the automorphism group: the embeddings of g into itself."""
+    return _embedding_count(g, g.rows())
 
 
 # ---------------------------------------------------------------------------

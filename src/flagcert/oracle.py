@@ -374,13 +374,6 @@ class SearchResult:
 SEARCH_CSV_HEADER = "n,edges,max_count,density,maximizers"
 
 
-def _search_order_guard(n: int, allow_order_9: bool) -> None:
-    if n < 1 or n > 9:
-        raise ValueError("search supports orders 1..9")
-    if n == 9 and not allow_order_9:
-        raise ValueError("order 9 enumerates 274668 classes; pass allow_order_9=True")
-
-
 def _count_chunk(args: tuple[int, int, int, list[int]]) -> list[int]:
     h_mask, h_n, masks_n, masks = args
     h = SmallGraph(h_n, h_mask)
@@ -400,28 +393,8 @@ def max_density_search(
     Restricts to a fixed edge count when one is given.  Exact and complete:
     iterates every isomorphism class once.
     """
-    _search_order_guard(n, allow_order_9)
-    if h.n > n:
-        raise ValueError("pattern has more vertices than the host order")
-    pool_all = _enumerate_unchecked(n)
-    if edge_count is None:
-        hosts = list(pool_all)
-    else:
-        if not 0 <= edge_count <= n * (n - 1) // 2:
-            raise ValueError(f"edge count {edge_count} impossible at order {n}")
-        hosts = [g for g in pool_all if g.edge_count == edge_count]
-    counts = _induced_counts(h, n, hosts, workers)
-    best = max(counts, default=0)
-    maximizers = tuple(
-        to_graph6(g) for g, c in zip(hosts, counts) if c == best
-    )
-    return SearchResult(
-        n=n,
-        edge_count=edge_count,
-        max_count=best,
-        density=Fraction(best, math.comb(n, h.n)),
-        maximizers=maximizers,
-    )
+    hosts, counts = _counted_hosts(h, n, edge_count, allow_order_9, workers)
+    return _maximum(h, n, edge_count, list(zip(hosts, counts)))
 
 
 def max_density_table(
@@ -432,24 +405,36 @@ def max_density_table(
     workers: int = 1,
 ) -> tuple[SearchResult, ...]:
     """One SearchResult per edge count 0..C(n,2): the feasible-region scan."""
-    _search_order_guard(n, allow_order_9)
+    hosts, counts = _counted_hosts(h, n, None, allow_order_9, workers)
+    by_edges: dict[int, list[tuple[SmallGraph, int]]] = {}
+    for g, c in zip(hosts, counts):
+        by_edges.setdefault(g.edge_count, []).append((g, c))
+    return tuple(_maximum(h, n, m, by_edges[m]) for m in sorted(by_edges))
+
+
+def _maximum(
+    h: SmallGraph, n: int, edge_count: int | None, counted: list[tuple[SmallGraph, int]]
+) -> SearchResult:
+    """The largest count over ``counted`` (host, count) pairs and its hosts."""
+    best = max((c for _, c in counted), default=0)
+    names = tuple(to_graph6(g) for g, c in counted if c == best)
+    return SearchResult(n, edge_count, best, Fraction(best, math.comb(n, h.n)), names)
+
+
+def _counted_hosts(
+    h: SmallGraph, n: int, edge_count: int | None, allow_order_9: bool, workers: int
+) -> tuple[list[SmallGraph], list[int]]:
+    """The order-n classes (with ``edge_count`` edges, if given) and h's counts."""
+    if n < 1 or n > 9:
+        raise ValueError("search supports orders 1..9")
+    if n == 9 and not allow_order_9:
+        raise ValueError("order 9 enumerates 274668 classes; pass allow_order_9=True")
     if h.n > n:
         raise ValueError("pattern has more vertices than the host order")
-    hosts = list(_enumerate_unchecked(n))
-    counts = _induced_counts(h, n, hosts, workers)
-    by_edges: dict[int, tuple[int, list[str]]] = {}
-    for g, c in zip(hosts, counts):
-        m = g.edge_count
-        best, names = by_edges.get(m, (-1, []))
-        if c > best:
-            by_edges[m] = (c, [to_graph6(g)])
-        elif c == best:
-            names.append(to_graph6(g))
-    denom = math.comb(n, h.n)
-    return tuple(
-        SearchResult(n, m, best, Fraction(best, denom), tuple(names))
-        for m, (best, names) in sorted(by_edges.items())
-    )
+    if edge_count is not None and not 0 <= edge_count <= n * (n - 1) // 2:
+        raise ValueError(f"edge count {edge_count} impossible at order {n}")
+    hosts = [g for g in _enumerate_unchecked(n) if edge_count in (None, g.edge_count)]
+    return hosts, _induced_counts(h, n, hosts, workers)
 
 
 def _induced_counts(

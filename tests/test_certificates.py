@@ -137,7 +137,6 @@ def test_parse_rejects_malformed():
         ("labels: 3", "labels: three", 23, "invalid literal"),
         ("type: 1 2 2", "type: 1 2 2 2 2 2", 24, "type order does not match labels"),
         ("type: 1 2 2", "type: 2 2 2", 24, "does not carry the declared type"),
-        ("multiplier: 15/256", "multiplier: -15/256", 25, "negative square multiplier"),
         ("row: 12 ; 41 ; -94", "row: 12 ; 41 ; x", 28, "x"),
         ("row: 12 ; 41 ; -94", "row: 12 ; 41", 22, "matrix is not square"),
         ("row: 12 ; 41 ; -94", "row: 13 ; 41 ; -94", 22, "matrix is not symmetric"),
@@ -240,14 +239,14 @@ def test_nudged_coefficient_fails(name, old, new, capsys, monkeypatch):
     assert main(["verify", "--cert", "-"]) == 1
     assert "\nverdict=FAIL\n" in capsys.readouterr().out
 
-def test_negative_multiplier_rejected():
-    # rejected at load time,
+def test_negative_multiplier_refutes():
+    # a FAIL line of the verdict path, as in a parametric certificate,
     text = _bundled_text("k3.cert").replace(
         "multiplier: 20/9", "multiplier: -20/9"
     )
-    with pytest.raises(ValueError):
-        parse_certificate(text)
-    # and reported if a Certificate is doctored after loading
+    report = verify_certificate(parse_certificate(text))
+    assert "square term 1 multiplier: -20/9 is negative" in report.failures
+    # also if a Certificate is doctored after loading
     cert = load_certificate("k3.cert")
     doctored = dataclasses.replace(
         cert,
@@ -425,6 +424,27 @@ def test_psd_condition_on_vector_block_fails():
     )
     report = verify_certificate(parse_certificate(text))
     assert report.failures == ("square term 2: psd-condition requires a 2x2 matrix",)
+
+
+@pytest.mark.parametrize(
+    "condition, rows, root",
+    [
+        # a root-free condition after block 1 must not hide block 1's root
+        ("[1]", [[1, 0], [0, 1]], Fraction(4113060, 10**6)),
+        ("[-9/2,1]", [["[-9/2,1]", 0], [0, 1]], Fraction(9, 2)),
+    ],
+)
+def test_psd_condition_root_is_the_largest_over_blocks(condition, rows, root):
+    text = _appendix_with_block(
+        "1 1 2 1 2 2 ; 1 1 1 1 1 1",
+        _matrix_body(rows) + f"psd-condition: {condition}\npsd-condition-factor: 1\n",
+    )
+    report = verify_certificate(parse_certificate(text))
+    assert report.passed
+    assert abs(report.psd_condition_root - root) < Fraction(2, 10**6)
+    assert f"psd condition largest root: ~{float(report.psd_condition_root):.9f}" in (
+        report.lines()
+    )
 
 
 def test_psd_condition_failure_is_the_only_line_for_its_block():

@@ -450,6 +450,15 @@ def test_psd_condition_on_1x1_matrix_fails_cleanly(capsys, monkeypatch):
     assert "verdict=FAIL" in out
 
 
+def test_negative_numeric_multiplier_exits_1(capsys, monkeypatch):
+    # one rule for both kinds: a negative square multiplier refutes
+    text = _bundled_text("k4.cert").replace("multiplier: 15/256", "multiplier: -15/256")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "verify", "--cert", "-")
+    assert code == 1 and "verdict=FAIL" in out
+    assert "FAIL: square term 0 multiplier: -15/256 is negative" in out.splitlines()
+
+
 def test_strict_parametric_certificate_fails_on_zero_deficits(capsys, monkeypatch):
     text = _bundled_text("appendixA.cert").replace("strict: no", "strict: yes")
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

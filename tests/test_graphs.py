@@ -1,5 +1,6 @@
 """Graph layer: encodings, canonical forms, counting, compositions."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -261,6 +262,47 @@ def test_chain_rule():
 @given(small_graphs(3), small_graphs(6))
 def test_complement_duality(h, g):
     assert count_induced(h, g) == count_induced(h.complement(), g.complement())
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _classes(orders):
+    return [g for n in orders for g in _enumerate_unchecked(n)]
+
+
+def test_counts_are_frozen():
+    # digests recorded before the embedding backtracker replaced the
+    # subset-by-canonical-code count and the degree-filtered automorphism count
+    small = _digest(
+        f"{to_graph6(h)} {to_graph6(g)} {count_induced(h, g)}"
+        for h in _classes(range(1, 6))
+        for g in _classes(range(1, 7))
+    )
+    assert small == "b5041a2b75204ef28f28df8e519ee79399867ab4988e968d16c33cebafc5b01a"
+    target = _digest(f"{to_graph6(g)} {count_induced(K221, g)}" for g in _classes(range(1, 9)))
+    assert target == "981694e298f4b092f6049ec189059d92e8a6894bdd5a30b8ec9c527eed26f29d"
+    aut = _digest(f"{to_graph6(g)} {automorphism_count(g)}" for g in _classes(range(1, 8)))
+    assert aut == "dbd5cc3eed3adac2fd51cf2a19a95e9d7169579752132cd2d03a531ad40a4699"
+
+
+@given(small_graphs(5), small_graphs(7))
+def test_counts_match_permutation_reference(h, g):
+    # a permutation p puts a copy of h on g's vertices 0..|h|-1 exactly when
+    # the first C(|h|, 2) bits of g.relabelled(p) are h's mask; each
+    # embedding of h extends to (|g|-|h|)! permutations
+    low = (1 << h.pair_count) - 1
+    hits = aut_g = 0
+    for p in itertools.permutations(range(g.n)):
+        image = g.relabelled(p)
+        aut_g += image == g
+        hits += h.n <= g.n and image.mask & low == h.mask
+    aut_h = sum(h.relabelled(p) == h for p in itertools.permutations(range(h.n)))
+    embeddings = hits // math.factorial(max(g.n - h.n, 0))
+    assert automorphism_count(g) == aut_g
+    assert automorphism_count(h) == aut_h
+    assert count_induced(h, g) == embeddings // aut_h
 
 
 # ---------------------------------------------------------------------------

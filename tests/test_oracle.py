@@ -1,5 +1,6 @@
 """Edge-local counting, the degree-triple scan, and the exhaustive search."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagcert import graphs
 from flagcert.graphs import (
     complete,
     count_induced,
@@ -321,14 +323,37 @@ def test_search_table_order_six():
 
 
 def test_search_guards():
-    with pytest.raises(ValueError):
-        max_density_search(K221, 10)
-    with pytest.raises(ValueError):
+    # each guard also fails the inputs of every guard after it
+    with pytest.raises(ValueError, match="^search supports orders 1..9$"):
+        max_density_search(complete(6), 10, 99)
+    with pytest.raises(ValueError, match="^order 9 enumerates 274668 classes"):
         max_density_search(K221, 9)  # needs the explicit opt-in
-    with pytest.raises(ValueError):
-        max_density_search(turan(3, 6), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pattern has more vertices"):
+        max_density_search(turan(3, 6), 5, 99)
+    with pytest.raises(ValueError, match="^edge count 11 impossible at order 5$"):
         max_density_search(K221, 5, 11)
+
+
+def test_oracle_counts_without_canonical_codes(monkeypatch):
+    # the oracle must not share the canonical-code search with the flag
+    # tables: with it cut off, counts and the order-6 table are unchanged
+    graphs._enumerate_unchecked(6)  # the host listing does use it
+    graphs.automorphism_count.cache_clear()
+
+    def cut(*args):
+        raise AssertionError("the oracle reached the canonical-code search")
+
+    monkeypatch.setattr(graphs, "_min_code_cached", cut)
+    monkeypatch.setattr(graphs, "_search", cut)
+    t36 = turan(3, 6)
+    assert count_induced(K221, t36) == 6
+    assert graphs.automorphism_count(t36) == 48
+    assert graphs.induced_density(complete(2), t36) == Fraction(4, 5)
+    rows = "\n".join(r.csv_row() for r in max_density_table(K221, 6))
+    assert (
+        hashlib.sha256(rows.encode()).hexdigest()
+        == "5312f0d73036a2662b178f2e213c96164cffd84a250c8acd9781ef3fe5273dc7"
+    )
 
 
 def test_search_workers_agree():
