@@ -38,7 +38,10 @@ denominator is a parse error ("division by zero").
 
 Linear blocks: ``vector`` and ``factor`` hold ``coeff * paircode``
 entries separated by ``;``; the factor may use ``const`` for the
-constant 1 (expanded as the full basis of the factor's order).
+constant 1 (expanded as the full basis of the factor's order).  Every
+factor must be c * (edge density - e) at its order, with c nonzero
+(positive on the ray for the parametric kind) and one e for all terms:
+e is the edge-density assumption.
 
 Square blocks: ``labels`` (type size), ``type`` (paircode of the labeled
 type, ``-`` when labels is 0), ``multiplier``, ``flags`` (paircodes,
@@ -70,8 +73,22 @@ from .exactmath import (
     psd_check,
     rf_nonneg_on_ray,
 )
-from .flags import Flag, FlagVector, bilinear_expansion, expand_quadratic_form, lift
-from .graphs import SmallGraph, enumerate_graphs, emit_paircode, parse_paircode
+from .flags import (
+    MAX_BASIS_ORDER,
+    Flag,
+    FlagVector,
+    bilinear_expansion,
+    expand_quadratic_form,
+    lift,
+)
+from .graphs import (
+    SmallGraph,
+    complete,
+    empty,
+    enumerate_graphs,
+    emit_paircode,
+    parse_paircode,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +314,8 @@ def _parse_certificate(text: str, at: list) -> Certificate:
     parametric = kind == "parametric"
 
     order = int(header_value("expansion-order"))
-    if not 2 <= order <= 6:
-        raise ValueError(f"expansion-order {order} outside 2..6")
+    if not 2 <= order <= MAX_BASIS_ORDER:
+        raise ValueError(f"expansion-order {order} outside 2..{MAX_BASIS_ORDER}")
     target = parse_paircode(header_value("target"))
     strict_value = header_value("strict", "no")
     if strict_value not in ("yes", "no"):
@@ -614,6 +631,51 @@ def _largest_root(p: KPolynomial) -> Fraction | None:
         return None
 
 
+def _anchor_failures(cert: Certificate, positive, ray: str) -> list[str]:
+    """Why a linear term's factor is not c * (edge density - e), one e for all.
+
+    Over the classes H of the factor's order, its coefficients must be
+    f_H = f_empty + c * (edge density of H), where c = f_complete - f_empty
+    is nonzero, and positive on the ray for the parametric kind.  Then
+    e = -f_empty / c is the edge density the term assumes: the term
+    vanishes there (numeric kind), or is nonnegative from there on when
+    its vector coefficients are (parametric kind).
+    """
+    failures = []
+    shared = None  # (term index, e) of the first anchored term
+    for i, lt in enumerate(cert.linear_terms):
+        fo = lt.factor_order
+        factor = _vector_from(lt.factor, fo)
+        f_empty = factor.coefficient(Flag(empty(fo), 0))
+        c = factor.coefficient(Flag(complete(fo), 0)) - f_empty
+        if not c:
+            failures.append(
+                f"linear term {i}: factor does not depend on the edge density "
+                f"(coefficient {f_empty} at the empty and the complete graph)"
+            )
+            continue
+        if cert.parametric and not (positive(c.num) and positive(c.den)):
+            failures.append(f"linear term {i}: factor slope {c} is not positive{ray}")
+        pairs = math.comb(fo, 2)
+        for h in enumerate_graphs(fo):
+            f_h = factor.coefficient(Flag(h, 0))
+            if (f_h - f_empty) * pairs != c * h.edge_count:
+                want = f_empty + c * Fraction(h.edge_count, pairs)
+                failures.append(
+                    f"linear term {i}: factor coefficient {f_h} at {_code_of(h)} "
+                    f"is not {want}, so the factor is not affine in the edge density"
+                )
+        e = -f_empty / c
+        if shared is None:
+            shared = i, e
+        elif e != shared[1]:
+            failures.append(
+                f"linear term {i}: factor assumes edge density {e}, "
+                f"linear term {shared[0]} assumes {shared[1]}"
+            )
+    return failures
+
+
 def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
     """The one verdict path; ``k0 is None`` means the numeric kind.
 
@@ -638,6 +700,7 @@ def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
             shown = value.pretty() if parametric else value
             failures.append(f"{key} {shown} is not positive{ray}")
 
+    failures += _anchor_failures(cert, positive, ray)
     # a numeric linear term vanishes at its pinned density: no signs to check
     for i, lt in enumerate(cert.linear_terms if parametric else ()):
         for coeff, g in lt.vector:

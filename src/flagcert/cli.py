@@ -29,6 +29,7 @@ from .certificates import (
 from .constructions import profile_csv, profile_table
 from .exactmath import frac
 from .graphs import (
+    MAX_ORDER,
     count_induced,
     emit_paircode,
     enumerate_graphs,
@@ -127,17 +128,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     h = parse_graph(args.h)
     workers = _threads()
-    allow9 = args.n == 9  # asking for order 9 on the command line is the opt-in
     if args.edges is not None:
-        rows = [
-            max_density_search(
-                h, args.n, args.edges, allow_order_9=allow9, workers=workers
-            )
-        ]
+        rows = [max_density_search(h, args.n, args.edges, workers=workers)]
     else:
-        rows = list(
-            max_density_table(h, args.n, allow_order_9=allow9, workers=workers)
-        )
+        rows = list(max_density_table(h, args.n, workers=workers))
     print(SEARCH_CSV_HEADER)
     for row in rows:
         print(row.csv_row())
@@ -174,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all isomorphism classes of an order")
-    p.add_argument("--order", type=int, required=True, help="vertex count (1..7)")
+    p.add_argument("--order", type=int, required=True, help=f"vertex count (1..{MAX_ORDER})")
     p.add_argument("--graph6", action="store_true", help="emit graph6 instead of pair codes")
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -198,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive max induced-count search at small order")
     p.add_argument("--h", required=True, help="pattern graph (graph6 or pair code)")
-    p.add_argument("--n", type=int, required=True, help="host order (1..9)")
+    p.add_argument("--n", type=int, required=True, help=f"host order (1..{MAX_ORDER})")
     p.add_argument("--edges", type=int, default=None, help="restrict hosts to this edge count")
     p.set_defaults(handler=_cmd_oracle)
 

@@ -290,22 +290,6 @@ def _int_odd_part(a: list[int]) -> list[int]:
     return _int_exact_div(_int_exact_div(a, g), _int_odd_part(g))
 
 
-def poly_gcd(a: KPolynomial, b: KPolynomial) -> KPolynomial:
-    """Monic gcd, computed by a primitive pseudo-remainder sequence."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    return KPolynomial(_int_gcd(_int_poly(a), _int_poly(b))).monic()
-
-
-def squarefree_part(p: KPolynomial) -> KPolynomial:
-    """p with all multiplicities reduced to one (monic)."""
-    if p.is_zero:
-        return p
-    return KPolynomial(_int_squarefree(_int_poly(p))).monic()
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains and root location
 

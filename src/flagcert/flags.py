@@ -42,8 +42,8 @@ from .graphs import (
     SmallGraph,
     _code_to_mask,
     _enumerate,
-    _enumerate_unchecked,
     _min_code_cached,
+    enumerate_graphs,
     mask_to_code_bits,
     parse_paircode,
     emit_paircode,
@@ -263,7 +263,7 @@ def _count_table(
         for u in subsets
     ]
     orders = [s + len(u) for u in subsets]
-    hosts = _enumerate(l, s, type_mask) if pinned else _enumerate_unchecked(l)
+    hosts = _enumerate(l, s, type_mask) if pinned else enumerate_graphs(l)
     rows = []
     for g in hosts:
         grows = g.rows()

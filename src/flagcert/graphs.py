@@ -15,6 +15,7 @@ canonicity test fixes to the identity columns, stopping at the first
 smaller one.  Twins (swapping them is an automorphism) are explored
 once, which keeps highly symmetric graphs cheap.  One cache, keyed by
 edge mask, holds the codes: ``_min_code_cached(n, mask, fixed)``.
+Every cache here is bounded.
 
 Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
 1978).  A prefix of a minimal code is the minimal code of the subgraph it
@@ -24,7 +25,8 @@ minimal.  The column loop starts at twice the identity column of the
 parent's last vertex (when that vertex is not pinned): swapping the new
 vertex with it turns the new column c into c >> 1, so every lower column
 is non-canonical.  Flag bases (labelled vertices pinned) come from the
-same generator.
+same generator.  One order guard, ``check_order``, serves the graphs and
+every listing: any order the representation holds, 1..MAX_ORDER.
 
 Induced copies and automorphisms are counted by one bitset backtracker,
 ``_embedding_count``, which computes no canonical code, so a fault in
@@ -44,6 +46,12 @@ from functools import lru_cache
 MAX_ORDER = 9
 
 
+def check_order(n: int) -> None:
+    """The one order guard: refuse an order the representation cannot hold."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order {n} outside 1..{MAX_ORDER}")
+
+
 def _pair_index(i: int, j: int) -> int:
     """Column-major index of pair (i, j), i < j."""
     if i > j:
@@ -59,8 +67,7 @@ class SmallGraph:
     mask: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"order {self.n} outside 1..{MAX_ORDER}")
+        check_order(self.n)
         if self.mask < 0 or self.mask >> (self.n * (self.n - 1) // 2):
             raise ValueError("edge mask has bits outside the upper triangle")
 
@@ -135,7 +142,15 @@ class CanonicalCode:
     bits: int
 
 
-@lru_cache(maxsize=None)
+# Cache bounds, each at least twice what the four bundled certificates use
+# together (203 rows, 488 codes and 6 listings, goldens included).  A
+# listing reads each host's rows once, so ``_rows`` need not hold them all.
+ROWS_CACHE_SIZE = 512
+CODE_CACHE_SIZE = 1024
+LISTING_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=ROWS_CACHE_SIZE)
 def _rows(n: int, mask: int) -> tuple[int, ...]:
     rows = [0] * n
     for j in range(n):
@@ -151,7 +166,7 @@ def _min_code(n: int, mask: int, fixed: int = 0) -> int:
     return _min_code_cached(n, mask, fixed)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def _min_code_cached(n: int, mask: int, fixed: int) -> int:
     # the code is cached here, so the rows it came from need not be
     rows = _rows.__wrapped__(n, mask)
@@ -260,7 +275,7 @@ def mask_to_code_bits(n: int, mask: int) -> int:
 # enumeration
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LISTING_CACHE_SIZE)
 def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
     """Canonical forms of order l in code order, by orderly generation.
 
@@ -292,20 +307,17 @@ def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
 
 
 def enumerate_graphs(l: int) -> tuple[SmallGraph, ...]:
-    """All isomorphism classes of order ``l``, sorted by canonical code.
+    """All isomorphism classes of order ``l`` (1..9), sorted by canonical code.
 
-    Counts for l = 1..7: 1, 2, 4, 11, 34, 156, 1044.
+    Counts for l = 1..9: 1, 2, 4, 11, 34, 156, 1044, 12346, 274668 (OEIS
+    A000088).  Order 8 takes seconds and order 9 minutes.
     """
-    if not 1 <= l <= 7:
-        raise ValueError(f"order {l} outside 1..7")
+    check_order(l)
     return _enumerate(l, 0, 0)
 
 
-def _enumerate_unchecked(l: int) -> tuple[SmallGraph, ...]:
-    """Enumeration without the public order cap (internal, l <= 9)."""
-    if not 1 <= l <= MAX_ORDER:
-        raise ValueError(f"order {l} outside 1..{MAX_ORDER}")
-    return _enumerate(l, 0, 0)
+# perfbench/shim.py pins this name
+_enumerate_unchecked = enumerate_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +394,6 @@ def automorphism_count(g: SmallGraph) -> int:
 def union(g: SmallGraph, h: SmallGraph) -> SmallGraph:
     """Disjoint union."""
     n = g.n + h.n
-    if n > MAX_ORDER:
-        raise ValueError(f"union order {n} exceeds {MAX_ORDER}")
     mask = g.mask
     for j in range(h.n):
         for i in range(j):
@@ -412,10 +422,9 @@ def empty(n: int) -> SmallGraph:
 
 def turan(k: int, n: int) -> SmallGraph:
     """Complete k-partite graph on n vertices with near-equal parts."""
-    if k < 1 or n < 1:
-        raise ValueError("turan needs k >= 1 and n >= 1")
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds {MAX_ORDER}; use closed forms instead")
+    if k < 1:
+        raise ValueError("turan needs k >= 1")
+    check_order(n)  # before the loop, whose work grows as n^4
     mask = 0
     for j in range(n):
         for i in range(j):
@@ -429,8 +438,7 @@ def blowup_graph(base: SmallGraph, sizes: tuple[int, ...]) -> SmallGraph:
     if len(sizes) != base.n or any(s < 0 for s in sizes):
         raise ValueError("sizes must list one nonnegative count per base vertex")
     n = sum(sizes)
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"blown-up order {n} outside 1..{MAX_ORDER}")
+    check_order(n)  # before the loop, whose work grows as n^4
     owner = [v for v, s in enumerate(sizes) for _ in range(s)]
     rows = base.rows()
     mask = 0

@@ -9,7 +9,8 @@ Three independent checks live here:
   inequality  (d_u-d_uv)(d_v-d_uv)d_uv - ((k-3)/k) n (n-d_u)(n-d_v) <= n^3/k^3
   over every admissible integer triple, for rational k >= 3.
 * ``max_density_search``: exhaustive maximum of an induced-subgraph count
-  over all isomorphism classes at small order.
+  over all isomorphism classes of one order, up to ``graphs.MAX_ORDER``
+  (12346 classes at order 8, 274668 at the largest order).
 
 Everything is exact: the scan clears denominators and works in (unbounded)
 Python integers, so a reported pass is a proof for the scanned range.  The
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from .graphs import (
     SmallGraph,
-    _enumerate_unchecked,
+    check_order,
     count_induced,
     enumerate_graphs,
     to_graph6,
@@ -151,6 +152,21 @@ def counting_identity_check(max_n: int) -> IdentityCheckReport:
             if lhs != 4 * count_induced(_TARGET, g):
                 bad.append(to_graph6(g))
     return IdentityCheckReport(max_n, checked, tuple(bad))
+
+
+# ---------------------------------------------------------------------------
+# worker processes (the scan and the search)
+
+
+def _map_jobs(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], split among ``workers`` processes if > 1."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    # imported here: at the top it would slow the start-up of every command
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +324,7 @@ def want_inequality_scan(
 
     pqs = tuple((k.numerator, k.denominator) for k in ks)
     jobs = [(pqs, n, r) for n in range(1, n_max + 1)]
-    if workers > 1:
-        # imported here: at the top it would slow the start-up of every command
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cell, jobs))
-    else:
-        results = [_scan_cell(job) for job in jobs]
+    results = _map_jobs(_scan_cell, jobs, workers)
 
     checked = 0
     violations: list[ScanViolation] = []
@@ -381,31 +390,22 @@ def _count_chunk(args: tuple[int, int, int, list[int]]) -> list[int]:
 
 
 def max_density_search(
-    h: SmallGraph,
-    n: int,
-    edge_count: int | None = None,
-    *,
-    allow_order_9: bool = False,
-    workers: int = 1,
+    h: SmallGraph, n: int, edge_count: int | None = None, *, workers: int = 1
 ) -> SearchResult:
     """Exhaustive maximum of count_induced(h, .) over order-n classes.
 
     Restricts to a fixed edge count when one is given.  Exact and complete:
     iterates every isomorphism class once.
     """
-    hosts, counts = _counted_hosts(h, n, edge_count, allow_order_9, workers)
+    hosts, counts = _counted_hosts(h, n, edge_count, workers)
     return _maximum(h, n, edge_count, list(zip(hosts, counts)))
 
 
 def max_density_table(
-    h: SmallGraph,
-    n: int,
-    *,
-    allow_order_9: bool = False,
-    workers: int = 1,
+    h: SmallGraph, n: int, *, workers: int = 1
 ) -> tuple[SearchResult, ...]:
     """One SearchResult per edge count 0..C(n,2): the feasible-region scan."""
-    hosts, counts = _counted_hosts(h, n, None, allow_order_9, workers)
+    hosts, counts = _counted_hosts(h, n, None, workers)
     by_edges: dict[int, list[tuple[SmallGraph, int]]] = {}
     for g, c in zip(hosts, counts):
         by_edges.setdefault(g.edge_count, []).append((g, c))
@@ -422,18 +422,15 @@ def _maximum(
 
 
 def _counted_hosts(
-    h: SmallGraph, n: int, edge_count: int | None, allow_order_9: bool, workers: int
+    h: SmallGraph, n: int, edge_count: int | None, workers: int
 ) -> tuple[list[SmallGraph], list[int]]:
     """The order-n classes (with ``edge_count`` edges, if given) and h's counts."""
-    if n < 1 or n > 9:
-        raise ValueError("search supports orders 1..9")
-    if n == 9 and not allow_order_9:
-        raise ValueError("order 9 enumerates 274668 classes; pass allow_order_9=True")
+    check_order(n)  # the listing's own guard, run before the cheaper ones
     if h.n > n:
         raise ValueError("pattern has more vertices than the host order")
     if edge_count is not None and not 0 <= edge_count <= n * (n - 1) // 2:
         raise ValueError(f"edge count {edge_count} impossible at order {n}")
-    hosts = [g for g in _enumerate_unchecked(n) if edge_count in (None, g.edge_count)]
+    hosts = [g for g in enumerate_graphs(n) if edge_count in (None, g.edge_count)]
     return hosts, _induced_counts(h, n, hosts, workers)
 
 
@@ -446,11 +443,7 @@ def _induced_counts(
             (h.mask, h.n, n, [g.mask for g in hosts[i : i + step]])
             for i in range(0, len(hosts), step)
         ]
-        from concurrent.futures import ProcessPoolExecutor  # see want_inequality_scan
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_count_chunk, jobs))
-        return [c for part in parts for c in part]
+        return [c for part in _map_jobs(_count_chunk, jobs, workers) for c in part]
     return [count_induced(h, g) for g in hosts]
 
 

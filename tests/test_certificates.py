@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib
 import io
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagcert import flags
+import flagcert
+from flagcert import flags, graphs
 from flagcert.certificates import (
     _psd_failure,
     _ray_problem,
@@ -30,9 +33,9 @@ from flagcert.exactmath import KPolynomial, RationalFunction
 from flagcert.flags import Flag, lift
 from flagcert.graphs import (
     SmallGraph,
-    _enumerate_unchecked,
     complete,
     emit_paircode,
+    enumerate_graphs,
     mask_to_code_bits,
     parse_paircode,
     turan,
@@ -708,6 +711,67 @@ def test_lemma074_linear_term_vanishes_at_pinned_density():
     assert model_value(uniform, certificate_expansion(linear_only)) != 0
 
 
+_K4_FACTOR = "factor: 1 * 2 ; -3/4 * const"
+_SECOND_LINEAR = _K4_FACTOR + "\nend\nbegin linear\nvector: 1 * 2\n"
+
+
+@pytest.mark.parametrize(
+    "name, old, new, lines",
+    [
+        (  # c = 0: the term is -3/4 * vector on every graph
+            "k4.cert",
+            _K4_FACTOR,
+            "factor: 0 * 2 ; -3/4 * const",
+            [
+                "linear term 0: factor does not depend on the edge density "
+                "(coefficient -3/4 at the empty and the complete graph)",
+            ],
+        ),
+        (  # c = -k: the term is nonpositive above e, not nonnegative
+            "appendixA.cert",
+            "[0,-1] * 1",
+            "[0,1] * 1",
+            ["linear term 0: factor slope RF(-k) is not positive on [5, oo)"],
+        ),
+        (  # an order-3 factor that only reads the triangle
+            "k4.cert",
+            _K4_FACTOR,
+            _SECOND_LINEAR + "factor: 1 * 2 2 2 ; -1/2 * const",
+            [
+                "linear term 1: factor coefficient -1/2 at 1 1 2 is not -1/6, "
+                "so the factor is not affine in the edge density",
+                "linear term 1: factor coefficient -1/2 at 1 2 2 is not 1/6, "
+                "so the factor is not affine in the edge density",
+                "linear term 1: factor assumes edge density 1/2, linear term 0 assumes 3/4",
+            ],
+        ),
+        (  # the same edge density at order 3 anchors
+            "k4.cert",
+            _K4_FACTOR,
+            _SECOND_LINEAR + "factor: 1 * 2 2 2 ; 2/3 * 1 2 2 ; 1/3 * 1 1 2 ; -3/4 * const",
+            [],
+        ),
+        (
+            "appendixA.cert",
+            "[0,-1] * 1",
+            "[0,-1] * 1\nend\nbegin linear\nvector: 1 * 2 2 2\n"
+            "factor: 1 * 2 ; [-3,2]/[0,1] * const",
+            [
+                "linear term 1: factor assumes edge density RF((-2*k + 3) / (k)), "
+                "linear term 0 assumes RF((k - 1) / (k))",
+            ],
+        ),
+    ],
+)
+def test_linear_factors_must_anchor_one_edge_density(name, old, new, lines):
+    text = _bundled_text(name)
+    assert text.count(old) == 1
+    report = verify_certificate(parse_certificate(text.replace(old, new)))
+    assert [f for f in report.failures if f.startswith("linear term")] == lines
+    assert not lines or report.verdict == "FAIL"
+
+
+
 # ---------------------------------------------------------------------------
 # frozen expansions
 
@@ -735,7 +799,7 @@ def test_certificate_expansions_are_frozen(name):
     l = cert.expansion_order
     text = "".join(
         f"{mask_to_code_bits(l, g.mask)} {expansion.coefficient(Flag(g, 0))}\n"
-        for g in _enumerate_unchecked(l)
+        for g in enumerate_graphs(l)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == EXPANSION_DIGESTS[name]
 
@@ -864,10 +928,38 @@ def test_reports_are_frozen(case):
 def test_count_table_cache_is_bounded_and_holds_the_bundle():
     table = flags._count_table
     assert table.cache_info().maxsize == flags.TABLE_CACHE_SIZE
-    table.cache_clear()
-    for name in ("k3", "k4", "lemma074", "appendixA"):
-        assert verify_certificate(load_certificate(name + ".cert")).passed
-    info = table.cache_info()
-    # every table the bundle needs stays cached: none is built twice
-    assert info.currsize == info.misses <= info.maxsize
-    assert info.hits > 0
+    listing_caches = (graphs._rows, graphs._min_code_cached, graphs._enumerate)
+    for cache in (table,) + listing_caches:
+        cache.cache_clear()
+    for name, golden in (
+        ("k3", None), ("k4", None), ("lemma074", "appendixB"), ("appendixA", "appendixC")
+    ):
+        report = verify_certificate(load_certificate(name + ".cert"))
+        assert report.passed
+        if golden:
+            assert compare_with_golden(report, load_golden(golden + ".golden")) == []
+    # every table, row tuple, code and listing the bundle needs stays
+    # cached: none is computed twice
+    for cache in (table,) + listing_caches:
+        info = cache.cache_info()
+        assert info.currsize == info.misses <= info.maxsize
+        assert info.hits > 0
+
+
+def _package_caches():
+    """Every lru_cache defined at module level in the package."""
+    names = [m.name for m in pkgutil.iter_modules(flagcert.__path__)]
+    modules = [importlib.import_module(f"flagcert.{name}") for name in names]
+    return {
+        f"{mod.__name__}.{attr}": value
+        for mod in modules
+        for attr, value in vars(mod).items()
+        if hasattr(value, "cache_parameters") and value.__module__ == mod.__name__
+    }
+
+
+def test_every_cache_in_the_package_is_bounded():
+    caches = _package_caches()
+    assert {"flagcert.graphs._rows", "flagcert.flags._count_table"} <= set(caches)
+    unbounded = [name for name, c in caches.items() if c.cache_parameters()["maxsize"] is None]
+    assert unbounded == []

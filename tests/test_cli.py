@@ -14,7 +14,7 @@ import pytest
 
 from flagcert import cli
 from flagcert.cli import main
-from flagcert.graphs import _enumerate_unchecked, emit_paircode, to_graph6, turan
+from flagcert.graphs import emit_paircode, to_graph6, turan
 
 K221_CODE = "2 2 2 1 1 2 2 2 2 2"
 
@@ -60,20 +60,23 @@ def test_enumerate_order7_graph6_is_frozen(capsys):
     )
 
 
-def test_enumerate_order8_graph6_is_frozen():
+def test_enumerate_order8_graph6_is_frozen(capsys):
     # one graph6 line per class, recorded before the bitset canonicity test
     # and the column bound replaced the sorted-column search
-    out = "".join(to_graph6(g) + "\n" for g in _enumerate_unchecked(8))
-    assert out.count("\n") == 12346
+    code, out, _ = run(capsys, "enumerate", "--order", "8", "--graph6")
+    classes, _, trailer = out.rpartition("count=")
+    assert code == 0 and trailer == "12346\n"
+    assert classes.count("\n") == 12346
     assert (
-        hashlib.sha256(out.encode()).hexdigest()
+        hashlib.sha256(classes.encode()).hexdigest()
         == "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867"
     )
 
 
 def test_enumerate_rejects_large_order(capsys):
-    code, _, err = run(capsys, "enumerate", "--order", "8")
-    assert code == 2 and err.startswith("error:")
+    for order in ("0", "10"):
+        code, out, err = run(capsys, "enumerate", "--order", order)
+        assert (code, out, err) == (2, "", f"error: order {order} outside 1..9\n")
 
 
 def test_density_edge_in_turan(capsys):
@@ -457,6 +460,23 @@ def test_negative_numeric_multiplier_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--cert", "-")
     assert code == 1 and "verdict=FAIL" in out
     assert "FAIL: square term 0 multiplier: -15/256 is negative" in out.splitlines()
+
+
+HOLE = HEADER.format(name="hole", kind="numeric", target=1, scale=1, bound=0) + (
+    "begin linear\nvector: -1 * 1 ; -1 * 2\nfactor: 1 * 1 ; 1 * 2\nend\n"
+)
+
+
+def test_linear_term_constant_on_every_graph_exits_1(capsys, monkeypatch):
+    # the factor is the constant 1, so the term is -1 on every graph and
+    # pins no edge density: the bound 0 would follow for every target
+    monkeypatch.setattr(sys, "stdin", io.StringIO(HOLE))
+    code, out, _ = run(capsys, "verify", "--cert", "-")
+    assert code == 1 and "verdict=FAIL" in out
+    assert [l for l in out.splitlines() if l.startswith("FAIL:")] == [
+        "FAIL: linear term 0: factor does not depend on the edge density "
+        "(coefficient 1 at the empty and the complete graph)"
+    ]
 
 
 def test_strict_parametric_certificate_fails_on_zero_deficits(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from flagcert.exactmath import (
     RationalFunction,
     RootBracket,
     SymMatrix,
+    _int_gcd,
     _int_odd_part,
     _int_poly,
     _int_squarefree,
@@ -19,11 +20,9 @@ from flagcert.exactmath import (
     count_real_roots,
     isolate_largest_real_root,
     nonneg_on_ray,
-    poly_gcd,
     positive_on_ray,
     psd_check,
     rf_nonneg_on_ray,
-    squarefree_part,
     sturm_chain,
 )
 
@@ -83,11 +82,12 @@ def test_scalar_promotion():
 
 def test_gcd_and_squarefree():
     k = KPolynomial([0, 1])
-    p = (k - 1) ** 2 * (k + 2)
-    q = (k - 1) * (k - 3)
-    g = poly_gcd(p, q)
-    assert g.monic() == (k - 1).monic()
-    assert squarefree_part(p).degree == 2  # (k-1)(k+2)
+    p = _int_poly((k - 1) ** 2 * (k + 2))
+    q = _int_poly((k - 1) * (k - 3))
+    assert _int_gcd(p, q) == [-1, 1]  # k - 1, leading coefficient positive
+    assert _int_gcd(q, p) == [-1, 1]
+    assert _int_squarefree(p) == _int_poly((k - 1) * (k + 2))
+    assert _int_squarefree(_int_poly(3 * (k - 2) ** 3)) == [-2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,9 @@ def test_sturm_root_counts():
 
 def test_sturm_chain_shape():
     chain = sturm_chain(_int_squarefree(_int_poly(PSD_CONDITION)))
-    assert KPolynomial(chain[0]).monic() == squarefree_part(PSD_CONDITION)
+    # the condition polynomial is squarefree, so the kernel leaves it alone
+    assert chain[0] == _int_poly(PSD_CONDITION)
+    assert _int_gcd(chain[0], chain[1]) == [1]
     # primitive integer polynomials, degrees falling to a nonzero constant
     for q in chain:
         assert all(type(c) is int for c in q)

@@ -27,7 +27,6 @@ from flagcert.flags import (
 from flagcert.graphs import (
     SmallGraph,
     _enumerate,
-    _enumerate_unchecked,
     _induced_mask,
     _min_code_cached,
     complete,
@@ -474,7 +473,7 @@ def ref_count_table(s, type_mask, l, parts, pinned=False):
     free = tuple(range(l - s))
     splits = flags._splits(free, sizes)
     subsets = [u for k in set(sizes) for u in itertools.combinations(free, k)]
-    hosts = _enumerate(l, s, type_mask) if pinned else _enumerate_unchecked(l)
+    hosts = _enumerate(l, s, type_mask) if pinned else enumerate_graphs(l)
     rows = []
     for g in hosts:
         grows = g.rows()

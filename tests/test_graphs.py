@@ -14,7 +14,6 @@ from flagcert import graphs
 from flagcert.graphs import (
     SmallGraph,
     _code_to_mask,
-    _enumerate_unchecked,
     _is_canonical,
     _min_code,
     _rows,
@@ -106,12 +105,12 @@ def test_enumeration_counts():
 
 
 def test_enumeration_order8_count():
-    assert len(_enumerate_unchecked(8)) == 12346  # OEIS A000088
+    assert len(enumerate_graphs(8)) == 12346  # OEIS A000088
 
 
 def test_enumeration_keeps_candidates_out_of_caches():
     # order 7 tests 156 * 2**6 = 9984 candidates; none of them, and none of
-    # the parents, may stay in the unbounded lru caches
+    # the parents, may stay in the lru caches
     for cache in (graphs._enumerate, graphs._rows, graphs._min_code_cached):
         cache.cache_clear()
     assert len(enumerate_graphs(7)) == 1044
@@ -152,9 +151,10 @@ def test_enumeration_is_canonical_and_sorted():
 
 
 def test_enumeration_order_cap():
-    with pytest.raises(ValueError):
-        enumerate_graphs(8)
-    with pytest.raises(ValueError):
+    # one guard for every listing: the orders the representation holds
+    with pytest.raises(ValueError, match="^order 10 outside 1..9$"):
+        enumerate_graphs(10)
+    with pytest.raises(ValueError, match="^order 0 outside 1..9$"):
         enumerate_graphs(0)
 
 
@@ -269,7 +269,7 @@ def _digest(lines) -> str:
 
 
 def _classes(orders):
-    return [g for n in orders for g in _enumerate_unchecked(n)]
+    return [g for n in orders for g in enumerate_graphs(n)]
 
 
 def test_counts_are_frozen():
@@ -328,6 +328,24 @@ def test_blowup_graph():
         empty(2), empty(3)
     ).canonical_form()
     assert blowup_graph(complete(3), (2, 2, 2)).canonical_form() == turan(3, 6).canonical_form()
+
+
+def test_compositions_refuse_orders_through_the_one_guard():
+    # turan and blowup_graph refuse before building: the mask loop would
+    # take minutes at order 3000 before SmallGraph saw the order
+    for build in (
+        lambda: union(complete(5), empty(5)),
+        lambda: join(empty(9), empty(1)),
+        lambda: turan(3, 10),
+        lambda: turan(3, 10**6),
+        lambda: turan(3, 0),
+        lambda: blowup_graph(complete(2), (5, 5)),
+        lambda: blowup_graph(complete(2), (10**6, 10**6)),
+        lambda: blowup_graph(complete(2), (0, 0)),
+    ):
+        with pytest.raises(ValueError, match="^order [0-9]+ outside 1..9$"):
+            build()
+    assert union(complete(4), empty(5)).n == graphs.MAX_ORDER
 
 
 def test_automorphism_counts():

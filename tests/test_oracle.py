@@ -324,20 +324,21 @@ def test_search_table_order_six():
 
 def test_search_guards():
     # each guard also fails the inputs of every guard after it
-    with pytest.raises(ValueError, match="^search supports orders 1..9$"):
+    with pytest.raises(ValueError, match="^order 10 outside 1..9$"):
         max_density_search(complete(6), 10, 99)
-    with pytest.raises(ValueError, match="^order 9 enumerates 274668 classes"):
-        max_density_search(K221, 9)  # needs the explicit opt-in
     with pytest.raises(ValueError, match="^pattern has more vertices"):
         max_density_search(turan(3, 6), 5, 99)
     with pytest.raises(ValueError, match="^edge count 11 impossible at order 5$"):
         max_density_search(K221, 5, 11)
+    # refused before the 274668 order-9 classes are listed
+    with pytest.raises(ValueError, match="^edge count 37 impossible at order 9$"):
+        max_density_search(K221, 9, 37)
 
 
 def test_oracle_counts_without_canonical_codes(monkeypatch):
     # the oracle must not share the canonical-code search with the flag
     # tables: with it cut off, counts and the order-6 table are unchanged
-    graphs._enumerate_unchecked(6)  # the host listing does use it
+    graphs.enumerate_graphs(6)  # the host listing does use it
     graphs.automorphism_count.cache_clear()
 
     def cut(*args):
