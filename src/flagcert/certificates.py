@@ -60,6 +60,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
 from .exactmath import (
@@ -441,6 +442,9 @@ def _parse_certificate(text: str, at: list) -> Certificate:
             psd_factor = parse_value(
                 block_value(bkind, body, "psd-condition-factor"), True
             )
+        elif "psd-condition-factor" in body:
+            at[0] = body["psd-condition-factor"][0]
+            raise ValueError("psd-condition-factor without psd-condition")
         square_terms.append(
             SquareTerm(
                 labels,
@@ -538,7 +542,6 @@ class VerificationReport:
     max_coefficient: object | None
     argmax: str | None
     zero_set: tuple
-    largest_roots: dict | None
     psd_condition_root: Fraction | None
     failures: tuple
     notes: tuple
@@ -546,6 +549,22 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
+
+    @cached_property
+    def largest_roots(self) -> dict | None:
+        """{code: largest real root} of each nonzero deficit that has one.
+
+        None for the numeric kind.  The roots are isolated on first read,
+        since only golden comparisons use them.
+        """
+        if self.k0 is None:
+            return None
+        roots = {}
+        for code, deficit in self.coefficients.items():
+            root = _largest_root(deficit) if deficit else None
+            if root is not None:
+                roots[code] = root
+        return roots
 
     def lines(self) -> list[str]:
         out = [f"certificate: {self.name}", f"kind: {self.kind}"]
@@ -755,7 +774,6 @@ def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
 
     expansion = certificate_expansion(cert)
     coefficients: dict = {}
-    roots: dict[str, Fraction] = {}
     zero = []
     for g in enumerate_graphs(cert.expansion_order):
         c = expansion.coefficient(Flag(g, 0))
@@ -779,10 +797,6 @@ def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
                 failures.append(f"coefficient {c} at {code} violates {rel} {cert.bound}")
         if not deficit:
             zero.append(code)
-        elif parametric:
-            root = _largest_root(deficit)
-            if root is not None:
-                roots[code] = root
     # the first of the largest scaled coefficients, numeric kind only
     argmax = None if parametric else max(coefficients, key=coefficients.get)
     max_c = coefficients.get(argmax)
@@ -808,7 +822,6 @@ def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
         max_coefficient=max_c,
         argmax=argmax,
         zero_set=tuple(zero),
-        largest_roots=roots if parametric else None,
         psd_condition_root=psd_root,
         failures=tuple(failures),
         notes=tuple(notes),

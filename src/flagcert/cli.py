@@ -8,15 +8,12 @@ scraping prose.
 
 Exit status: 0 success / verified, 1 verification failure or counterexample
 found, 2 usage or input error.  Reports are deterministic: identical
-invocations produce byte-identical output.  ``FLAGCERT_THREADS`` caps the
-worker processes used by the scan and search subcommands (default 1, at
-most the number of CPUs).
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -47,15 +44,6 @@ from .oracle import (
 
 class UsageError(Exception):
     """Bad arguments or unreadable input; maps to exit status 2."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("FLAGCERT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"FLAGCERT_THREADS must be an integer, got {raw!r}")
-    return max(1, min(value, os.cpu_count() or 1))
 
 
 def _stdin_text() -> str:
@@ -127,11 +115,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     h = parse_graph(args.h)
-    workers = _threads()
     if args.edges is not None:
-        rows = [max_density_search(h, args.n, args.edges, workers=workers)]
+        rows = [max_density_search(h, args.n, args.edges)]
     else:
-        rows = list(max_density_table(h, args.n, workers=workers))
+        rows = list(max_density_table(h, args.n))
     print(SEARCH_CSV_HEADER)
     for row in rows:
         print(row.csv_row())
@@ -146,7 +133,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         ks = [frac(tok) for tok in args.k.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--k expects comma-separated rationals, got {args.k!r}")
-    report = want_inequality_scan(ks, args.nmax, workers=_threads())
+    report = want_inequality_scan(ks, args.nmax)
     for line in report.lines():
         print(line)
     print(f"verdict={'PASS' if report.passed else 'FAIL'}")

@@ -14,8 +14,8 @@ Three independent checks live here:
 
 Everything is exact: the scan clears denominators and works in (unbounded)
 Python integers, so a reported pass is a proof for the scanned range.  The
-scan runs one cell per n that tests every k on each triple, and its
-parallel path hands whole n cells to the workers.
+scan runs one cell per n that tests every k on each triple.  Both the scan
+and the search run in the calling process.
 """
 
 from __future__ import annotations
@@ -155,39 +155,24 @@ def counting_identity_check(max_n: int) -> IdentityCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# worker processes (the scan and the search)
-
-
-def _map_jobs(fn, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], split among ``workers`` processes if > 1."""
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    # imported here: at the top it would slow the start-up of every command
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
-# ---------------------------------------------------------------------------
 # degree-triple inequality scan
 
-# The inequality, for k = p/q >= 3 and degrees scanned at resolution 1/r,
-# clears to integers with N = n*r, a = r*d_u, b = r*d_v, c = r*d_uv:
+# The inequality, for k = p/q >= 3 and integer degrees a = d_u, b = d_v,
+# c = d_uv, clears to integers:
 #
-#     p^3 (a-c)(b-c) c  -  p^2 (p-3q) N (N-a)(N-b)  <=  q^3 N^3.
+#     p^3 (a-c)(b-c) c  -  p^2 (p-3q) n (n-a)(n-b)  <=  q^3 n^3.
 #
-# Multiplying by r^3 p^3 > 0 preserves the inequality, so the integer check
-# is equivalent to the rational one.
+# Multiplying by p^3 > 0 preserves the inequality, so the integer check is
+# equivalent to the rational one.
 
 
 @dataclass(frozen=True)
 class ScanViolation:
     k: Fraction
     n: int
-    d_u: Fraction
-    d_v: Fraction
-    d_uv: Fraction
+    d_u: int
+    d_v: int
+    d_uv: int
     inequality: str  # "want" or "case-i"
 
 
@@ -206,7 +191,6 @@ class TuranEquality:
 class ScanReport:
     k_values: tuple[Fraction, ...]
     n_max: int
-    grid_denominator: int
     triples_checked: int
     violations: tuple[ScanViolation, ...]
     turan_equalities: tuple[TuranEquality, ...]
@@ -220,7 +204,7 @@ class ScanReport:
         ks = ", ".join(str(k) for k in self.k_values)
         out = [
             f"degree-triple inequality scan: k in {{{ks}}}, n <= {self.n_max}",
-            f"grid denominator: {self.grid_denominator}",
+            "grid denominator: 1",
             f"triples checked: {self.triples_checked}",
             f"violations: {len(self.violations)}",
         ]
@@ -239,7 +223,7 @@ class ScanReport:
         return out
 
 
-def _scan_cell(args: tuple[tuple[tuple[int, int], ...], int, int]) -> tuple:
+def _scan_cell(pqs: tuple[tuple[int, int], ...], n: int) -> tuple:
     """Exhaust one n for every k = p/q in ``pqs``; pure-integer inner loop.
 
     Each triple's cubic (a-c)(b-c)c is evaluated once and shared by every
@@ -250,24 +234,22 @@ def _scan_cell(args: tuple[tuple[tuple[int, int], ...], int, int]) -> tuple:
     checked, per_k)`` where ``checked`` counts the triples (each checked
     once per k) and ``per_k`` lists (violations, disagreements) per k.
     """
-    pqs, n, r = args
-    big_n = n * r
-    consts = [(p * p, p**3, p * p * (p - 3 * q), q**3 * big_n**3, p, q) for p, q in pqs]
+    consts = [(p * p, p**3, p * p * (p - 3 * q), q**3 * n**3, p, q) for p, q in pqs]
     checked = 0
     per_k: list[tuple[list, list]] = [([], []) for _ in pqs]
-    for a in range(1, big_n):
-        case_i = 3 * a >= 2 * big_n  # 2n/3 <= d_u <= d_v
-        for b in range(a, big_n):
-            prod_nn = (big_n - a) * (big_n - b)
-            lo = max(0, a + b - big_n)
+    for a in range(1, n):
+        case_i = 3 * a >= 2 * n  # 2n/3 <= d_u <= d_v
+        for b in range(a, n):
+            prod_nn = (n - a) * (n - b)
+            lo = max(0, a + b - n)
             # c runs over lo..a (a = min(a, b))
             cubics = [(a - c) * (b - c) * c for c in range(lo, a + 1)]
             checked += len(cubics)
             top = max(cubics)
-            bound_i = prod_nn * (a + b - big_n)
+            bound_i = prod_nn * (a + b - n)
             row_case_i = case_i and top > bound_i
             for (p2, p3, slack, rhs, p, q), (violations, disagreements) in zip(consts, per_k):
-                base = slack * big_n * prod_nn
+                base = slack * n * prod_nn
                 if row_case_i or p3 * top - base > rhs:
                     for c, cubic in enumerate(cubics, lo):
                         if p3 * cubic - base > rhs:
@@ -276,23 +258,17 @@ def _scan_cell(args: tuple[tuple[tuple[int, int], ...], int, int]) -> tuple:
                             violations.append((a, b, c, "case-i"))
                 # on the subdomain d_uv = d_u + d_v - n the rearranged form
                 # must agree with the direct one
-                if a + b >= big_n:
+                if a + b >= n:
                     direct = p3 * cubics[0] - base <= rhs
                     rearranged = (
-                        p2 * (big_n * (3 * q - 2 * p) + p * (a + b)) * prod_nn <= rhs
+                        p2 * (n * (3 * q - 2 * p) + p * (a + b)) * prod_nn <= rhs
                     )
                     if direct != rearranged:
                         disagreements.append((a, b, lo))
     return pqs, n, checked, per_k
 
 
-def want_inequality_scan(
-    k_set: Sequence[Fraction | int],
-    n_max: int,
-    *,
-    grid_denominator: int = 1,
-    workers: int = 1,
-) -> ScanReport:
+def want_inequality_scan(k_set: Sequence[Fraction | int], n_max: int) -> ScanReport:
     """Exhaustively verify the degree-triple inequality for each k in k_set.
 
     Scans every triple (d_u, d_v, d_uv) with 1 <= d_u <= d_v <= n-1 and
@@ -303,13 +279,9 @@ def want_inequality_scan(
     rearranged form of the inequality on the slice d_uv = d_u+d_v-n agrees
     with the direct one.
 
-    grid_denominator = r scans degrees on the grid (1/r)Z instead of Z
-    (an exploration mode; r = 1 is the domain the proof consumes).
     Returns a report carrying violations (expected empty) and the points
-    where equality holds exactly, ordered by k, then n, then triple.
-
-    The work is one cell per n covering every k; with ``workers`` > 1 the
-    cells are split among worker processes, and the report is the same.
+    where equality holds exactly, ordered by k, then n, then triple.  The
+    work is one cell per n covering every k.
     """
     ks = sorted({Fraction(k) for k in k_set})
     if not ks:
@@ -318,13 +290,9 @@ def want_inequality_scan(
         raise ValueError("every k must be >= 3")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if grid_denominator < 1:
-        raise ValueError("grid denominator must be a positive integer")
-    r = grid_denominator
 
     pqs = tuple((k.numerator, k.denominator) for k in ks)
-    jobs = [(pqs, n, r) for n in range(1, n_max + 1)]
-    results = _map_jobs(_scan_cell, jobs, workers)
+    results = [_scan_cell(pqs, n) for n in range(1, n_max + 1)]
 
     checked = 0
     violations: list[ScanViolation] = []
@@ -336,12 +304,10 @@ def want_inequality_scan(
             cell_viol, cell_dis = per_k[j]
             checked += cell_checked
             for a, b, c, which in cell_viol:
-                violations.append(
-                    ScanViolation(k, n, Fraction(a, r), Fraction(b, r), Fraction(c, r), which)
-                )
+                violations.append(ScanViolation(k, n, a, b, c, which))
             disagreements.extend((k, n, a, b) for a, b, _ in cell_dis)
-            # degrees of T_k(n) land on the grid whenever p divides n*r
-            if (n * r) % p == 0:
+            # degrees of T_k(n) are integers whenever p divides n
+            if n % p == 0:
                 d = Fraction((p - q) * n, p)
                 d_uv = Fraction((p - 2 * q) * n, p)
                 lhs = (d - d_uv) ** 2 * d_uv - (k - 3) / k * n * (n - d) ** 2
@@ -351,7 +317,6 @@ def want_inequality_scan(
     return ScanReport(
         tuple(ks),
         n_max,
-        r,
         checked,
         tuple(violations),
         tuple(equalities),
@@ -383,29 +348,19 @@ class SearchResult:
 SEARCH_CSV_HEADER = "n,edges,max_count,density,maximizers"
 
 
-def _count_chunk(args: tuple[int, int, int, list[int]]) -> list[int]:
-    h_mask, h_n, masks_n, masks = args
-    h = SmallGraph(h_n, h_mask)
-    return [count_induced(h, SmallGraph(masks_n, m)) for m in masks]
-
-
-def max_density_search(
-    h: SmallGraph, n: int, edge_count: int | None = None, *, workers: int = 1
-) -> SearchResult:
+def max_density_search(h: SmallGraph, n: int, edge_count: int | None = None) -> SearchResult:
     """Exhaustive maximum of count_induced(h, .) over order-n classes.
 
     Restricts to a fixed edge count when one is given.  Exact and complete:
     iterates every isomorphism class once.
     """
-    hosts, counts = _counted_hosts(h, n, edge_count, workers)
+    hosts, counts = _counted_hosts(h, n, edge_count)
     return _maximum(h, n, edge_count, list(zip(hosts, counts)))
 
 
-def max_density_table(
-    h: SmallGraph, n: int, *, workers: int = 1
-) -> tuple[SearchResult, ...]:
+def max_density_table(h: SmallGraph, n: int) -> tuple[SearchResult, ...]:
     """One SearchResult per edge count 0..C(n,2): the feasible-region scan."""
-    hosts, counts = _counted_hosts(h, n, None, workers)
+    hosts, counts = _counted_hosts(h, n, None)
     by_edges: dict[int, list[tuple[SmallGraph, int]]] = {}
     for g, c in zip(hosts, counts):
         by_edges.setdefault(g.edge_count, []).append((g, c))
@@ -422,7 +377,7 @@ def _maximum(
 
 
 def _counted_hosts(
-    h: SmallGraph, n: int, edge_count: int | None, workers: int
+    h: SmallGraph, n: int, edge_count: int | None
 ) -> tuple[list[SmallGraph], list[int]]:
     """The order-n classes (with ``edge_count`` edges, if given) and h's counts."""
     check_order(n)  # the listing's own guard, run before the cheaper ones
@@ -431,19 +386,11 @@ def _counted_hosts(
     if edge_count is not None and not 0 <= edge_count <= n * (n - 1) // 2:
         raise ValueError(f"edge count {edge_count} impossible at order {n}")
     hosts = [g for g in enumerate_graphs(n) if edge_count in (None, g.edge_count)]
-    return hosts, _induced_counts(h, n, hosts, workers)
+    return hosts, _induced_counts(h, n, hosts)
 
 
-def _induced_counts(
-    h: SmallGraph, n: int, hosts: list[SmallGraph], workers: int
-) -> list[int]:
-    if workers > 1 and len(hosts) > 64:
-        step = (len(hosts) + workers - 1) // workers
-        jobs = [
-            (h.mask, h.n, n, [g.mask for g in hosts[i : i + step]])
-            for i in range(0, len(hosts), step)
-        ]
-        return [c for part in _map_jobs(_count_chunk, jobs, workers) for c in part]
+def _induced_counts(h: SmallGraph, n: int, hosts: list[SmallGraph]) -> list[int]:
+    """h's induced-copy count in each order-n host, in the hosts' order."""
     return [count_induced(h, g) for g in hosts]
 
 

@@ -10,11 +10,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import flagcert
-from flagcert import flags, graphs
+from flagcert import certificates, flags, graphs
 from flagcert.certificates import (
     _psd_failure,
     _ray_problem,
@@ -515,6 +515,26 @@ def test_parametric_psd_verdict_matches_sympy_on_the_ray(rows, k0, offsets):
 # goldens
 
 
+def test_deficit_roots_are_isolated_only_when_read(monkeypatch):
+    calls = []
+    isolate = certificates._largest_root
+    monkeypatch.setattr(
+        certificates, "_largest_root", lambda p: calls.append(p) or isolate(p)
+    )
+    cert = load_certificate("appendixA.cert")
+    report = verify_certificate(cert)
+    assert calls == [t.psd_condition for t in cert.square_terms if t.psd_condition]
+    del calls[:]
+    roots = report.largest_roots
+    nonzero = [p for p in report.coefficients.values() if p]
+    assert calls == nonzero and list(roots) == [
+        c for c, p in report.coefficients.items() if p
+    ]
+    assert report.largest_roots is roots and len(calls) == len(nonzero)
+    numeric = verify_certificate(load_certificate("k4.cert"))
+    assert numeric.largest_roots is None and len(calls) == len(nonzero)
+
+
 def test_goldens_load():
     b = load_golden("appendixB.golden")
     assert b.label == "lemma074" and len(b.coefficient_rows) == 155
@@ -769,6 +789,98 @@ def test_linear_factors_must_anchor_one_edge_density(name, old, new, lines):
     report = verify_certificate(parse_certificate(text.replace(old, new)))
     assert [f for f in report.failures if f.startswith("linear term")] == lines
     assert not lines or report.verdict == "FAIL"
+
+
+# the one linear factor of each bundled certificate that has one, as
+# (coefficient, code) entries; a coefficient is an ascending list of
+# polynomial coefficients in k, of length 1 for the numeric kind
+_LINEAR_FACTORS = {
+    "k4": ("factor: 1 * 2 ; -3/4 * const", [([1], "2"), ([Fraction(-3, 4)], "const")]),
+    "lemma074": (
+        "factor: 1 * 2 ; -0.74 * const", [([1], "2"), ([Fraction(-37, 50)], "const")]
+    ),
+    "appendixA": ("factor: 1 * const ; [0,-1] * 1", [([1], "const"), ([0, -1], "1")]),
+}
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def factor_mutants(draw):
+    """(name, mutated entries): one coefficient perturbed or one entry added."""
+    name = draw(st.sampled_from(sorted(_LINEAR_FACTORS)))
+    entries = [(list(c), code) for c, code in _LINEAR_FACTORS[name][1]]
+    width = 2 if name == "appendixA" else 1
+    delta = draw(st.lists(_SMALL, min_size=width, max_size=width).filter(any))
+    if draw(st.booleans()):
+        coeff, _ = entries[draw(st.integers(0, len(entries) - 1))]
+        coeff += [0] * (width - len(coeff))
+        coeff[:] = [a + b for a, b in zip(coeff, delta)]
+    else:
+        entries.append((delta, draw(st.sampled_from(["1", "2"]))))
+    return name, entries
+
+
+def _literal(coeff, parametric):
+    if parametric:
+        return "[" + ",".join(str(Fraction(a)) for a in coeff) + "]"
+    return str(Fraction(coeff[0]))
+
+
+def _anchored_reference(entries, fo, parametric, k0):
+    """Whether the factor is c * (edge density - e) with c > 0 (on the ray).
+
+    Reads the factor's coefficient at every class H of order fo straight
+    from the entries and checks f_H = f_empty + c * (edge density of H).
+    """
+    width = max(len(c) for c, _ in entries)
+
+    def at(h):
+        total = [Fraction(0)] * width
+        for coeff, code in entries:
+            g = None if code == "const" else parse_paircode(code)
+            if g is None or g.canonical_form().mask == h.canonical_form().mask:
+                total = [t + a for t, a in zip(total, coeff + [0] * width)]
+        return total
+
+    pairs = fo * (fo - 1) // 2
+    values = {h.edge_count: at(h) for h in enumerate_graphs(fo)}
+    f_empty = values[0]
+    c = [a - b for a, b in zip(values[pairs], f_empty)]
+    assert all(
+        [(a - b) * pairs for a, b in zip(at(h), f_empty)]
+        == [x * h.edge_count for x in c]
+        for h in enumerate_graphs(fo)
+    )  # at order 2 every factor is affine in the edge density
+    if not any(c):
+        return False
+    if not parametric:
+        return True
+    c0, c1 = c  # a linear slope c0 + c1 k, positive on [k0, oo) or not
+    return c1 > 0 and c0 + c1 * k0 > 0 or c1 == 0 and c0 > 0
+
+
+@given(factor_mutants())
+@example(("k4", [([1], "2"), ([Fraction(-3, 4)], "const"), ([-1], "2")]))
+@example(("appendixA", [([1], "const"), ([0, 1], "1")]))
+@example(("appendixA", [([1], "const"), ([0, -1], "1"), ([-1, 1], "2")]))
+def test_linear_factor_mutants_fail_on_their_term_or_stay_anchored(mutant):
+    name, entries = mutant
+    line, _ = _LINEAR_FACTORS[name]
+    text = _bundled_text(name + ".cert")
+    assert text.count(line) == 1
+    parametric = name == "appendixA"
+    factor = "factor: " + " ; ".join(
+        f"{_literal(coeff, parametric)} * {code}" for coeff, code in entries
+    )
+    cert = parse_certificate(text.replace(line, factor))
+    report = verify_certificate(cert)
+    linear = [f for f in report.failures if f.startswith("linear term")]
+    (term,) = cert.linear_terms
+    if _anchored_reference(entries, term.factor_order, parametric, cert.k0):
+        assert linear == []
+    else:
+        assert linear and all(f.startswith("linear term 0: ") for f in linear)
+        assert f"FAIL: {linear[0]}" in report.lines()
 
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from flagcert import cli
 from flagcert.cli import main
 from flagcert.graphs import emit_paircode, to_graph6, turan
 
@@ -414,6 +413,13 @@ def test_malformed_certificate_exits_two(capsys, monkeypatch, name, edit, key):
             lambda t: t.replace("row: 91 ; 12 ; -115", "row: 91 ; 1/0 ; -115"),
             "certificate line 27: division by zero in '1/0'",
         ),
+        (
+            lambda t: t.replace(
+                "row: -115 ; -94 ; 303\n",
+                "row: -115 ; -94 ; 303\npsd-condition-factor: garbage\n",
+            ),
+            "certificate line 30: psd-condition-factor without psd-condition",
+        ),
     ],
 )
 def test_bad_format_or_zero_denominator_exits_two(capsys, monkeypatch, edit, message):
@@ -494,42 +500,6 @@ def test_strict_parametric_certificate_fails_on_zero_deficits(capsys, monkeypatc
 
 # ---------------------------------------------------------------------------
 # environment, argparse plumbing, determinism
-
-
-def test_threads_env_controls_workers(capsys, monkeypatch):
-    monkeypatch.setenv("FLAGCERT_THREADS", "2")
-    code, out, _ = run(capsys, "scan", "--k", "3", "--nmax", "12")
-    assert code == 0 and "verdict=PASS" in out
-
-
-def test_threads_env_garbage_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("FLAGCERT_THREADS", "many")
-    code, _, err = run(capsys, "scan", "--k", "3", "--nmax", "5")
-    assert code == 2 and "FLAGCERT_THREADS" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [("oracle", "--h", K221_CODE, "--n", "6"), ("scan", "--k", "3,4,5", "--nmax", "20")],
-)
-def test_parallel_output_matches_serial(capsys, monkeypatch, argv):
-    # at most two worker processes: the setting and the CPU count are both 2
-    serial = run(capsys, *argv)
-    monkeypatch.setenv("FLAGCERT_THREADS", "2")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert cli._threads() == 2
-    assert run(capsys, *argv) == serial and serial[0] == 0
-
-
-@pytest.mark.parametrize(
-    "raw, cpus, want",
-    [("1000000", 4, 4), ("3", 4, 3), ("0", 4, 1), ("-7", 2, 1), ("8", None, 1)],
-)
-def test_threads_capped_at_cpu_count(monkeypatch, raw, cpus, want):
-    # _threads() only reads the setting; no worker pool is started here
-    monkeypatch.setenv("FLAGCERT_THREADS", raw)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._threads() == want
 
 
 def test_unknown_subcommand_exits_two():

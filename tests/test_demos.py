@@ -22,7 +22,6 @@ def test_three_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
-    env.pop("FLAGCERT_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

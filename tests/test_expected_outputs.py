@@ -60,7 +60,6 @@ def test_every_exact_case_has_a_command():
 
 @pytest.mark.parametrize("case", EXACT_CASES)
 def test_exact_case_matches_recording(case, capsys, monkeypatch):
-    monkeypatch.delenv("FLAGCERT_THREADS", raising=False)
     if case.startswith("refute_k4_diag"):
         mutant = k4_mutant(int(case[len("refute_k4_diag"):]))
         monkeypatch.setattr(sys, "stdin", io.StringIO(mutant))

@@ -32,8 +32,19 @@ def test_library_imports_only_stdlib_or_relative():
     assert outside == []
 
 
+def test_no_module_imports_a_process_pool():
+    # the scan and the search run in the calling process
+    pools = [
+        f"{path.relative_to(SRC)}:{line} imports {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _absolute_imports(path)
+        if name in ("concurrent", "multiprocessing")
+    ]
+    assert pools == []
+
+
 def test_cli_import_leaves_the_process_pool_out():
-    # only FLAGCERT_THREADS > 1 makes a pool, so no command pays its import
+    # no command starts worker processes, so none should pay their import
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p

@@ -203,7 +203,7 @@ def test_scan_small_integers_clean():
 
 def test_scan_detector_fires_below_three():
     # the guard exists because k < 3 genuinely breaks the inequality
-    pqs, n, checked, [(violations, disagreements)] = _scan_cell((((5, 2),), 12, 1))
+    pqs, n, checked, [(violations, disagreements)] = _scan_cell(((5, 2),), 12)
     assert (pqs, n) == (((5, 2),), 12)
     assert violations
     assert disagreements == []
@@ -219,7 +219,7 @@ def _cell_violations(pqs, n_max):
     out = [[] for _ in pqs]
     checked = 0
     for n in range(1, n_max + 1):
-        _, _, cell_checked, per_k = _scan_cell((pqs, n, 1))
+        _, _, cell_checked, per_k = _scan_cell(pqs, n)
         checked += cell_checked
         for found, (violations, disagreements) in zip(out, per_k):
             assert disagreements == []
@@ -246,8 +246,6 @@ def test_scan_input_validation():
         want_inequality_scan([], 10)
     with pytest.raises(ValueError):
         want_inequality_scan([3], 0)
-    with pytest.raises(ValueError):
-        want_inequality_scan([3], 10, grid_denominator=0)
 
 
 def test_scan_dedupes_and_sorts_k():
@@ -255,23 +253,13 @@ def test_scan_dedupes_and_sorts_k():
     assert report.k_values == (3, 5)
 
 
-def test_scan_refined_grid():
-    coarse = want_inequality_scan([4], 4)
-    fine = want_inequality_scan([4], 4, grid_denominator=2)
-    assert fine.passed
-    assert fine.triples_checked > coarse.triples_checked
-    # half-integer grid points hit the tight complete-multipartite degrees
-    # already at n = 2: d = 3/2, d_uv = 1
-    assert [(t.n, t.d, t.d_uv) for t in fine.turan_equalities] == [
-        (2, Fraction(3, 2), Fraction(1)),
+def test_scan_integer_tight_point():
+    # the degrees of T_4(4), d = 3 and d_uv = 2, are the one tight point
+    report = want_inequality_scan([4], 4)
+    assert report.passed
+    assert [(t.n, t.d, t.d_uv) for t in report.turan_equalities] == [
         (4, Fraction(3), Fraction(2)),
     ]
-
-
-def test_scan_workers_agree():
-    solo = want_inequality_scan([3, 4], 10)
-    multi = want_inequality_scan([3, 4], 10, workers=2)
-    assert solo == multi
 
 
 def test_clique_degree_point():
@@ -355,12 +343,6 @@ def test_oracle_counts_without_canonical_codes(monkeypatch):
         hashlib.sha256(rows.encode()).hexdigest()
         == "5312f0d73036a2662b178f2e213c96164cffd84a250c8acd9781ef3fe5273dc7"
     )
-
-
-def test_search_workers_agree():
-    solo = max_density_search(K221, 6)
-    multi = max_density_search(K221, 6, workers=2)
-    assert solo == multi
 
 
 def test_search_csv_shape():
