@@ -324,6 +324,8 @@ def profile_table(e_from, e_to, step) -> list[ProfilePoint]:
     e_from, e_to, step = frac(e_from), frac(e_to), frac(step)
     if step <= 0:
         raise ValueError("step must be positive")
+    if e_from > e_to:
+        raise ValueError(f"empty range: from {e_from} is above to {e_to}")
     abscissae = []
     e = e_from
     while e <= e_to:

@@ -292,18 +292,29 @@ def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
     out = []
     for g in _enumerate(m, fixed, fixed_mask):
         prows = _rows.__wrapped__(m, g.mask)  # needed once: kept out of the cache
-        start = 0
-        if m - 1 >= fixed:
-            # swapping the new vertex with vertex m-1 turns its column into
-            # col >> 1, so a child is canonical only if col >> 1 >= prev_col
-            prev_col = mask_to_code_bits(m, g.mask) & (1 << m - 1) - 1
-            start = prev_col << 1
+        start = _start_column(m, g.mask) if m - 1 >= fixed else 0
         for col in range(start, 1 << m):
             nbrs = nbrs_of[col]
-            rows = tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows))
-            if _is_canonical(rows + (nbrs,), fixed):
+            if _is_canonical(_child_rows(prows, nbrs), fixed):
                 out.append(SmallGraph(l, g.mask | nbrs << g.pair_count))
     return tuple(out)
+
+
+def _start_column(m: int, mask: int) -> int:
+    """The least new column a canonical child of an order-m canonical form can have.
+
+    Swapping the new vertex with vertex m-1 turns its column into col >> 1,
+    so a child is canonical only if col >> 1 is at least the parent's last
+    column.  Columns are read with vertex 0 as the highest bit.
+    """
+    last = mask >> (m - 1) * (m - 2) // 2  # vertex m-1's neighbours, vertex 0 lowest
+    return int(f"{last:0{m - 1}b}"[::-1], 2) << 1
+
+
+def _child_rows(prows: tuple[int, ...], nbrs: int) -> tuple[int, ...]:
+    """Adjacency rows of the parent ``prows`` plus a vertex adjacent to ``nbrs``."""
+    m = len(prows)
+    return tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows)) + (nbrs,)
 
 
 def enumerate_graphs(l: int) -> tuple[SmallGraph, ...]:

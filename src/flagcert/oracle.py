@@ -10,7 +10,10 @@ Three independent checks live here:
   over every admissible integer triple, for rational k >= 3.
 * ``max_density_search``: exhaustive maximum of an induced-subgraph count
   over all isomorphism classes of one order, up to ``graphs.MAX_ORDER``
-  (12346 classes at order 8, 274668 at the largest order).
+  (12346 classes at order 8, 274668 at the largest order).  It extends the
+  order-(n-1) classes by one vertex instead of listing order n: pass 1
+  takes the maximum over every candidate child, with no canonicity test,
+  and pass 2 tests only the candidates at the maximum.
 
 Everything is exact: the scan clears denominators and works in (unbounded)
 Python integers, so a reported pass is a proof for the scanned range.  The
@@ -20,13 +23,19 @@ and the search run in the calling process.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .graphs import (
     SmallGraph,
+    _child_rows,
+    _is_canonical,
+    _rows,
+    _start_column,
     check_order,
     count_induced,
     enumerate_graphs,
@@ -230,9 +239,9 @@ def _scan_cell(pqs: tuple[tuple[int, int], ...], n: int) -> tuple:
     k.  Since p^3 > 0, a row (a, b) holds for one k once its largest cubic
     passes the cleared test, and only a failing row is walked triple by
     triple.  The case-i bound does not involve k, so it is tested once per
-    row and its violations are reported under each k.  Returns ``(pqs, n,
-    checked, per_k)`` where ``checked`` counts the triples (each checked
-    once per k) and ``per_k`` lists (violations, disagreements) per k.
+    row and its violations are reported under each k.  Returns ``(checked,
+    per_k)`` where ``checked`` counts the triples (each checked once per k)
+    and ``per_k`` lists (violations, disagreements) per k.
     """
     consts = [(p * p, p**3, p * p * (p - 3 * q), q**3 * n**3, p, q) for p, q in pqs]
     checked = 0
@@ -265,7 +274,7 @@ def _scan_cell(pqs: tuple[tuple[int, int], ...], n: int) -> tuple:
                     )
                     if direct != rearranged:
                         disagreements.append((a, b, lo))
-    return pqs, n, checked, per_k
+    return checked, per_k
 
 
 def want_inequality_scan(k_set: Sequence[Fraction | int], n_max: int) -> ScanReport:
@@ -300,7 +309,7 @@ def want_inequality_scan(k_set: Sequence[Fraction | int], n_max: int) -> ScanRep
     equalities: list[TuranEquality] = []
     for j, k in enumerate(ks):
         p, q = k.numerator, k.denominator
-        for _, n, cell_checked, per_k in results:
+        for n, (cell_checked, per_k) in enumerate(results, 1):
             cell_viol, cell_dis = per_k[j]
             checked += cell_checked
             for a, b, c, which in cell_viol:
@@ -351,42 +360,156 @@ SEARCH_CSV_HEADER = "n,edges,max_count,density,maximizers"
 def max_density_search(h: SmallGraph, n: int, edge_count: int | None = None) -> SearchResult:
     """Exhaustive maximum of count_induced(h, .) over order-n classes.
 
-    Restricts to a fixed edge count when one is given.  Exact and complete:
-    iterates every isomorphism class once.
+    Restricts to a fixed edge count when one is given.  Pass 1 takes the
+    maximum over every candidate child of every order-(n-1) class; pass 2
+    tests for canonicity only the candidates at that maximum, so every
+    class at the maximum is named once, in code order.
     """
-    hosts, counts = _counted_hosts(h, n, edge_count)
-    return _maximum(h, n, edge_count, list(zip(hosts, counts)))
+    best, parents = _column_counts(h, n, edge_count)
+    if edge_count is None:
+        top = max(best)
+        target = [top if b == top else -1 for b in best]
+    else:
+        top = best[edge_count]
+        target = [top if e == edge_count else -1 for e in range(len(best))]
+    names = [name for _, name in _maximizers(n, parents, target)]
+    return _result(h, n, edge_count, top, names)
 
 
 def max_density_table(h: SmallGraph, n: int) -> tuple[SearchResult, ...]:
-    """One SearchResult per edge count 0..C(n,2): the feasible-region scan."""
-    hosts, counts = _counted_hosts(h, n, None)
-    by_edges: dict[int, list[tuple[SmallGraph, int]]] = {}
-    for g, c in zip(hosts, counts):
-        by_edges.setdefault(g.edge_count, []).append((g, c))
-    return tuple(_maximum(h, n, m, by_edges[m]) for m in sorted(by_edges))
+    """One SearchResult per edge count 0..C(n,2): the feasible-region scan.
+
+    The same two passes as ``max_density_search``, with each edge count's
+    own maximum as the target of pass 2.
+    """
+    best, parents = _column_counts(h, n, None)
+    names: list[list[str]] = [[] for _ in best]
+    for e, name in _maximizers(n, parents, best):
+        names[e].append(name)
+    return tuple(_result(h, n, e, b, names[e]) for e, b in enumerate(best))
 
 
-def _maximum(
-    h: SmallGraph, n: int, edge_count: int | None, counted: list[tuple[SmallGraph, int]]
+def _result(
+    h: SmallGraph, n: int, edge_count: int | None, best: int, names: list[str]
 ) -> SearchResult:
-    """The largest count over ``counted`` (host, count) pairs and its hosts."""
-    best = max((c for _, c in counted), default=0)
-    names = tuple(to_graph6(g) for g, c in counted if c == best)
-    return SearchResult(n, edge_count, best, Fraction(best, math.comb(n, h.n)), names)
+    return SearchResult(n, edge_count, best, Fraction(best, math.comb(n, h.n)), tuple(names))
 
 
-def _counted_hosts(
+def _column_counts(
     h: SmallGraph, n: int, edge_count: int | None
-) -> tuple[list[SmallGraph], list[int]]:
-    """The order-n classes (with ``edge_count`` edges, if given) and h's counts."""
+) -> tuple[list[int], list[tuple]]:
+    """Pass 1: h's count in every candidate child, and the maximum per edge count.
+
+    Orderly generation makes every order-n class a canonical order-(n-1)
+    parent P plus a new vertex whose column is at least P's start column
+    (``graphs._start_column``).  A candidate's count is count(h, P) plus
+    the (|h|-1)-subsets S of P that the new vertex completes to h; whether
+    it does depends only on S's induced mask and on the new column within
+    S, which is decided once per mask with ``count_induced`` on |h|
+    vertices.  Every candidate is some order-n graph and every class's
+    canonical form is a candidate, so the maximum over candidates is the
+    maximum over classes.  No canonical code is computed here.
+
+    Returns the maxima (index = edge count) and, per parent, its mask,
+    edge count, count, start column and new copies per column (index =
+    column, vertex 0 highest).
+    """
     check_order(n)  # the listing's own guard, run before the cheaper ones
     if h.n > n:
         raise ValueError("pattern has more vertices than the host order")
     if edge_count is not None and not 0 <= edge_count <= n * (n - 1) // 2:
         raise ValueError(f"edge count {edge_count} impossible at order {n}")
-    hosts = [g for g in enumerate_graphs(n) if edge_count in (None, g.edge_count)]
-    return hosts, _induced_counts(h, n, hosts)
+    m, j = n - 1, h.n - 1
+    if m:
+        hosts = enumerate_graphs(m)
+        counts = _induced_counts(h, m, hosts)
+        heads = [(g.mask, c, _start_column(m, g.mask)) for g, c in zip(hosts, counts)]
+    else:  # K1 is the order-0 graph plus one empty column
+        heads = [(0, 0, 0)]
+    completing: dict[str, list[int]] = {}  # S's induced mask, as bits -> its completions
+    index, subsets = _subset_columns(m, j)
+    width = m * (m - 1) // 2
+    weights = [col.bit_count() for col in range(1 << m)]
+    best = [-1] * (n * (n - 1) // 2 + 1)
+    parents = []
+    for mask, count, start in heads:
+        bits = f"{mask:0{width}b}"
+        keys = "".join(map(bits.__getitem__, index))
+        # one byte per column; none overflows, as at most C(8, 4) = 70 copies are new
+        lanes = 0
+        for key, per_t in subsets:
+            sub = keys[key]
+            ts = completing.get(sub)
+            if ts is None:
+                ts = completing[sub] = _completions(h, int(sub or "0", 2))
+            for t in ts:
+                lanes += per_t[t]
+        new = lanes.to_bytes(1 << m, "little")
+        edges = mask.bit_count()
+        for col in range(start, 1 << m):
+            e = edges + weights[col]
+            if count + new[col] > best[e]:
+                best[e] = count + new[col]
+        parents.append((mask, edges, count, start, new))
+    return best, parents
+
+
+def _completions(h: SmallGraph, sub: int) -> list[int]:
+    """The columns t over |h|-1 vertices inducing ``sub`` that complete them to h."""
+    j = h.n - 1
+    need = h.edge_count - sub.bit_count()
+    return [
+        t
+        for t in range(1 << j)
+        if t.bit_count() == need and count_induced(h, SmallGraph(h.n, sub | t << j * (j - 1) // 2))
+    ]
+
+
+@lru_cache(maxsize=8)
+def _subset_columns(m: int, j: int) -> tuple[tuple[int, ...], tuple[tuple[slice, tuple], ...]]:
+    """Per j-subset S of range(m): where its induced mask lies, and its columns.
+
+    The first tuple indexes an order-m mask's bit string (pair 0 last) so
+    that each S's induced mask reads off as a binary numeral at S's slice.
+    For each t (bit i is S[i]), S's integer has a 1 in byte N for every
+    column N (vertex 0 highest) that meets S in t.
+    """
+    index: list[int] = []
+    subsets = []
+    for s in itertools.combinations(range(m), j):
+        pairs = [(u, v) for b, v in enumerate(s) for u in s[:b]]  # S's mask bits, lowest first
+        key = slice(len(index), len(index) + len(pairs))
+        index.extend(m * (m - 1) // 2 - 1 - v * (v - 1) // 2 - u for u, v in reversed(pairs))
+        bits = [1 << m - 1 - v for v in s]
+        among = sum(bits)
+        outside = [col for col in range(1 << m) if not col & among]
+        per_t = []
+        for t in range(1 << j):
+            inside = sum(b for i, b in enumerate(bits) if t >> i & 1)
+            per_t.append(sum(1 << 8 * (inside | col) for col in outside))
+        subsets.append((key, tuple(per_t)))
+    return tuple(index), tuple(subsets)
+
+
+def _maximizers(n: int, parents: list[tuple], target: list[int]) -> list[tuple[int, str]]:
+    """Pass 2: (edge count, graph6) of each canonical candidate at its target count.
+
+    Visits parents in code order and columns in increasing order, as
+    ``graphs.enumerate_graphs`` lists the children, and tests canonicity
+    only where a candidate's count equals the target of its edge count.
+    """
+    m = n - 1
+    found = []
+    for mask, edges, count, start, new in parents:
+        rows = None
+        for col in range(start, 1 << m):
+            e = edges + col.bit_count()
+            if count + new[col] == target[e]:
+                rows = rows or _rows(m, mask)
+                nbrs = int(f"{col:0{m}b}"[::-1], 2)
+                if _is_canonical(_child_rows(rows, nbrs), 0):
+                    found.append((e, to_graph6(SmallGraph(n, mask | nbrs << m * (m - 1) // 2))))
+    return found
 
 
 def _induced_counts(h: SmallGraph, n: int, hosts: list[SmallGraph]) -> list[int]:

@@ -299,9 +299,17 @@ def test_profile_out_file(capsys, tmp_path):
     assert text.startswith("e,value\n") and "0.666667,0.370370\n" in text
 
 
+# profile arguments (from, to, step) refused as bad input, with the message
+PROFILE_BAD_INPUTS = [
+    (("0", "1", "0"), "step must be positive"),
+    (("1", "0", "1/10"), "empty range: from 1 is above to 0"),
+]
+
+
 def test_profile_bad_step(capsys):
-    code, _, err = run(capsys, "profile", "--from", "0", "--to", "1", "--step", "0")
-    assert code == 2 and "error:" in err
+    for (e_from, e_to, step), message in PROFILE_BAD_INPUTS:
+        code, out, err = run(capsys, "profile", "--from", e_from, "--to", e_to, "--step", step)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +333,26 @@ def test_oracle_full_table(capsys):
     assert code == 0
     assert len(lines) == 1 + 11 + 2  # header, edge counts 0..10, trailers
     assert "max_count=1" in out
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        (("--n", "8"), "442a25011943533adf29bcdf2b76ec41ca9fec37fbcb86b396b7567df63ec887"),
+        (
+            ("--n", "8", "--edges", "21"),
+            "1b62187c8ea0f9fe8a632d619d8bb42ff7f075fb5e9a6391f6b7a8baeeff3605",
+        ),
+        (("--n", "9"), "33727a7928455e77af70fd0870fc0d69d9d32c99952e1bed86341a7787a761c7"),
+    ],
+    ids=["n8", "n8-edges21", "n9"],
+)
+def test_oracle_stdout_is_frozen(capsys, extra, digest):
+    # digests of the whole stdout when every order-n class was listed and
+    # counted; the maximum by parent extension must print the same bytes
+    code, out, _ = run(capsys, "oracle", "--h", K221_CODE, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_order_guard(capsys):

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flagcert import graphs
 from flagcert.graphs import (
@@ -22,6 +24,7 @@ from flagcert.oracle import (
     SEARCH_CSV_HEADER,
     DegreeLocalData,
     ScanViolation,
+    _column_counts,
     _scan_cell,
     counting_identity_check,
     degree_local_data,
@@ -203,9 +206,8 @@ def test_scan_small_integers_clean():
 
 def test_scan_detector_fires_below_three():
     # the guard exists because k < 3 genuinely breaks the inequality
-    pqs, n, checked, [(violations, disagreements)] = _scan_cell(((5, 2),), 12)
-    assert (pqs, n) == (((5, 2),), 12)
-    assert violations
+    checked, [(violations, disagreements)] = _scan_cell(((5, 2),), 12)
+    assert checked and violations
     assert disagreements == []
     with pytest.raises(ValueError):
         want_inequality_scan([Fraction(5, 2)], 12)
@@ -219,7 +221,7 @@ def _cell_violations(pqs, n_max):
     out = [[] for _ in pqs]
     checked = 0
     for n in range(1, n_max + 1):
-        _, _, cell_checked, per_k = _scan_cell(pqs, n)
+        cell_checked, per_k = _scan_cell(pqs, n)
         checked += cell_checked
         for found, (violations, disagreements) in zip(out, per_k):
             assert disagreements == []
@@ -324,25 +326,70 @@ def test_search_guards():
 
 
 def test_oracle_counts_without_canonical_codes(monkeypatch):
-    # the oracle must not share the canonical-code search with the flag
-    # tables: with it cut off, counts and the order-6 table are unchanged
-    graphs.enumerate_graphs(6)  # the host listing does use it
+    # the oracle's counts must not share the canonical-code search with the
+    # flag tables: with it cut off, the counts and pass 1's maxima per edge
+    # count are unchanged (pass 2 names the maximizers with that search)
+    graphs.enumerate_graphs(5)  # the parent listing does use it
     graphs.automorphism_count.cache_clear()
 
     def cut(*args):
         raise AssertionError("the oracle reached the canonical-code search")
 
-    monkeypatch.setattr(graphs, "_min_code_cached", cut)
-    monkeypatch.setattr(graphs, "_search", cut)
-    t36 = turan(3, 6)
-    assert count_induced(K221, t36) == 6
-    assert graphs.automorphism_count(t36) == 48
-    assert graphs.induced_density(complete(2), t36) == Fraction(4, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_min_code_cached", cut)
+        patch.setattr(graphs, "_search", cut)
+        t36 = turan(3, 6)
+        assert count_induced(K221, t36) == 6
+        assert graphs.automorphism_count(t36) == 48
+        assert graphs.induced_density(complete(2), t36) == Fraction(4, 5)
+        best, _ = _column_counts(K221, 6, None)
+        assert best == [0] * 8 + [1, 1, 1, 3, 6, 2, 0, 0]
     rows = "\n".join(r.csv_row() for r in max_density_table(K221, 6))
     assert (
         hashlib.sha256(rows.encode()).hexdigest()
         == "5312f0d73036a2662b178f2e213c96164cffd84a250c8acd9781ef3fe5273dc7"
     )
+
+
+def listing_reference(h, n):
+    # the reference: h's count in every order-n class, in listing order
+    return [(g.edge_count, count_induced(h, g), to_graph6(g)) for g in enumerate_graphs(n)]
+
+
+def reference_result(n, edge_count, listed):
+    counted = [(c, name) for e, c, name in listed if edge_count in (None, e)]
+    best = max(c for c, _ in counted)
+    return (n, edge_count, best, tuple(name for c, name in counted if c == best))
+
+
+def result_tuple(r):
+    return (r.n, r.edge_count, r.max_count, r.maximizers)
+
+
+@st.composite
+def patterns_and_orders(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(n, 5)))
+    h = graphs.SmallGraph(k, draw(st.integers(0, (1 << k * (k - 1) // 2) - 1)))
+    return h, n, draw(st.integers(0, n * (n - 1) // 2))
+
+
+@given(patterns_and_orders())
+@example((complete(1), 1, 0))
+@example((empty(1), 6, 4))
+@example((K221, 5, 8))
+@example((turan(2, 4), 4, 3))
+def test_search_matches_listing_reference(case):
+    h, n, edge_count = case
+    listed = listing_reference(h, n)
+    table = max_density_table(h, n)
+    assert [result_tuple(r) for r in table] == [
+        reference_result(n, e, listed) for e in sorted({e for e, _, _ in listed})
+    ]
+    assert all(r.density == Fraction(r.max_count, math.comb(n, h.n)) for r in table)
+    one = max_density_search(h, n, edge_count)
+    assert result_tuple(one) == reference_result(n, edge_count, listed)
+    assert result_tuple(max_density_search(h, n)) == reference_result(n, None, listed)
 
 
 def test_search_csv_shape():
