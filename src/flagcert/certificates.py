@@ -401,6 +401,8 @@ def _parse_certificate(text: str, at: list) -> Certificate:
             raise ValueError("square flags must share one order")
         if 2 * forder.pop() - labels > order:
             raise ValueError("square term exceeds the expansion order")
+        if len({f.canonical_bits() for f in flags}) != len(flags):
+            raise ValueError("square flags are not pairwise distinct")
 
         multiplier = parse_value(block_value(bkind, body, "multiplier"), parametric)
         vector = matrix = congruence = None

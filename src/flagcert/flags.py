@@ -40,11 +40,10 @@ from functools import lru_cache
 
 from .graphs import (
     SmallGraph,
-    _code_to_mask,
     _enumerate,
     _min_code_cached,
+    _reversed,
     enumerate_graphs,
-    mask_to_code_bits,
     parse_paircode,
     emit_paircode,
 )
@@ -157,7 +156,7 @@ class FlagVector:
         self.coeffs[bits] = cur
 
     def _flag(self, bits: int) -> Flag:
-        return Flag(SmallGraph(self.order, _code_to_mask(self.order, bits)), self.labels)
+        return Flag(SmallGraph(self.order, _reversed(bits, math.comb(self.order, 2))), self.labels)
 
     def _type_mask(self) -> int | None:
         """Type mask shared by the held flags; None while there are none."""
@@ -288,7 +287,7 @@ def _count_table(
             for split in splits:
                 key = tuple(map(code.__getitem__, split))
                 counts[key] = counts.get(key, 0) + 1
-        rows.append((mask_to_code_bits(l, g.mask), counts))
+        rows.append((_reversed(g.mask, g.pair_count), counts))
     return rows, len(splits) * (1 if pinned else math.perm(l, s))
 
 

@@ -3,8 +3,9 @@
 Graphs are stored as an order ``n`` (1..9) plus an edge bitmask over the
 upper triangle.  Bit ``j*(j-1)//2 + i`` holds the pair ``(i, j)`` with
 ``i < j``, i.e. pairs are indexed column by column: (0,1), (0,2), (1,2),
-(0,3), ...  This matches the bit order of the graph6 format and lets a
-graph grow by one vertex by appending a column of bits.
+(0,3), ...  A graph grows by one vertex by appending a column of bits.
+Codes and graph6 read the same pairs from the highest bit, so a code is
+its mask reversed over C(n, 2) places by the one helper ``_reversed``.
 
 The canonical code is the lexicographically minimal column-major bit
 string over all vertex orderings (a flag's labelled vertices pinned).
@@ -21,10 +22,11 @@ Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
 1978).  A prefix of a minimal code is the minimal code of the subgraph it
 describes, so the classes of order l are the canonical forms of order
 l-1 plus one new column, kept when the identity order is already
-minimal.  The column loop starts at twice the identity column of the
-parent's last vertex (when that vertex is not pinned): swapping the new
-vertex with it turns the new column c into c >> 1, so every lower column
-is non-canonical.  Flag bases (labelled vertices pinned) come from the
+minimal (``_canonical_children``, which the oracle also calls).  The
+column loop starts at twice the identity column of the parent's last
+vertex (when that vertex is not pinned): swapping the new vertex with
+it turns the new column c into c >> 1, so every lower column is
+non-canonical.  Flag bases (labelled vertices pinned) come from the
 same generator.  One order guard, ``check_order``, serves the graphs and
 every listing: any order the representation holds, 1..MAX_ORDER.
 
@@ -119,8 +121,7 @@ class SmallGraph:
         return CanonicalCode(self.n, _min_code(self.n, self.mask))
 
     def canonical_form(self) -> "SmallGraph":
-        code = self.canonical_code()
-        return SmallGraph(code.n, _code_to_mask(code.n, code.bits))
+        return SmallGraph(self.n, _reversed(_min_code(self.n, self.mask), self.pair_count))
 
     def complement(self) -> "SmallGraph":
         full = (1 << self.pair_count) - 1
@@ -143,14 +144,11 @@ class CanonicalCode:
 
 
 # Cache bounds, each at least twice what the four bundled certificates use
-# together (203 rows, 488 codes and 6 listings, goldens included).  A
-# listing reads each host's rows once, so ``_rows`` need not hold them all.
-ROWS_CACHE_SIZE = 512
+# together (488 codes and 6 listings, goldens included).
 CODE_CACHE_SIZE = 1024
 LISTING_CACHE_SIZE = 16
 
 
-@lru_cache(maxsize=ROWS_CACHE_SIZE)
 def _rows(n: int, mask: int) -> tuple[int, ...]:
     rows = [0] * n
     for j in range(n):
@@ -168,15 +166,12 @@ def _min_code(n: int, mask: int, fixed: int = 0) -> int:
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def _min_code_cached(n: int, mask: int, fixed: int) -> int:
-    # the code is cached here, so the rows it came from need not be
-    rows = _rows.__wrapped__(n, mask)
+    rows = _rows(n, mask)
     best = list(rows[:fixed]) + [-1] * (n - fixed)
     _search(rows, fixed, best, False)
-    code = 0
-    for d, col in enumerate(best):
-        for i in range(d):
-            code = code << 1 | col >> i & 1
-    return code
+    # column d of the minimal order is the mask's column d (-1: all ones)
+    mask = sum((col & (1 << d) - 1) << d * (d - 1) // 2 for d, col in enumerate(best))
+    return _reversed(mask, n * (n - 1) // 2)
 
 
 def _is_canonical(rows: tuple[int, ...], fixed: int) -> bool:
@@ -249,26 +244,14 @@ def _lower(best: list[int], d: int, free: int, placed: list[int]) -> int:
     return free
 
 
-def _code_to_mask(n: int, bits: int) -> int:
-    mask = 0
-    shift = n * (n - 1) // 2
-    for d in range(n):
-        shift -= d
-        col = bits >> shift & (1 << d) - 1
-        base = d * (d - 1) // 2
-        for i in range(d):
-            if col >> (d - 1 - i) & 1:
-                mask |= 1 << base + i
-    return mask
+def _reversed(bits: int, width: int) -> int:
+    """``bits`` read backwards over ``width`` places: bit i becomes bit width-1-i."""
+    return int(f"{bits:b}".zfill(width)[::-1], 2)
 
 
 def mask_to_code_bits(n: int, mask: int) -> int:
-    """Pack a mask into code bit order without minimising (identity order)."""
-    bits = 0
-    for j in range(n):
-        for i in range(j):
-            bits = bits << 1 | mask >> _pair_index(i, j) & 1
-    return bits
+    """The code bits of a mask in the identity order (no minimising)."""
+    return _reversed(mask, n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +270,27 @@ def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
     if l == max(fixed, 1):
         return (SmallGraph(l, fixed_mask),)
     m = l - 1
-    # column value (vertex 0 highest) -> neighbour mask (vertex 0 lowest)
-    nbrs_of = [int(f"{col:0{m}b}"[::-1], 2) for col in range(1 << m)]
     out = []
     for g in _enumerate(m, fixed, fixed_mask):
-        prows = _rows.__wrapped__(m, g.mask)  # needed once: kept out of the cache
         start = _start_column(m, g.mask) if m - 1 >= fixed else 0
-        for col in range(start, 1 << m):
-            nbrs = nbrs_of[col]
-            if _is_canonical(_child_rows(prows, nbrs), fixed):
-                out.append(SmallGraph(l, g.mask | nbrs << g.pair_count))
+        children = _canonical_children(m, g.mask, range(start, 1 << m), fixed)
+        out.extend(SmallGraph(l, child) for child in children)
     return tuple(out)
+
+
+def _canonical_children(m: int, mask: int, columns, fixed: int = 0):
+    """Yield the masks of the canonical children of the order-m form ``mask``.
+
+    The one child step of orderly generation: a child adds vertex m with
+    one of ``columns`` (vertex 0 highest), in their order, and is kept when
+    the identity order gives its minimal code, vertices 0..fixed-1 pinned.
+    """
+    prows = _rows(m, mask)
+    for col in columns:
+        nbrs = _reversed(col, m)  # the column's neighbour mask, vertex 0 lowest
+        rows = tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows)) + (nbrs,)
+        if _is_canonical(rows, fixed):
+            yield mask | nbrs << m * (m - 1) // 2
 
 
 def _start_column(m: int, mask: int) -> int:
@@ -305,16 +298,11 @@ def _start_column(m: int, mask: int) -> int:
 
     Swapping the new vertex with vertex m-1 turns its column into col >> 1,
     so a child is canonical only if col >> 1 is at least the parent's last
-    column.  Columns are read with vertex 0 as the highest bit.
+    column.  Columns are read with vertex 0 as the highest bit; the order-0
+    graph has no last column and starts at 0.
     """
     last = mask >> (m - 1) * (m - 2) // 2  # vertex m-1's neighbours, vertex 0 lowest
-    return int(f"{last:0{m - 1}b}"[::-1], 2) << 1
-
-
-def _child_rows(prows: tuple[int, ...], nbrs: int) -> tuple[int, ...]:
-    """Adjacency rows of the parent ``prows`` plus a vertex adjacent to ``nbrs``."""
-    m = len(prows)
-    return tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows)) + (nbrs,)
+    return _reversed(last, m - 1) << 1
 
 
 def enumerate_graphs(l: int) -> tuple[SmallGraph, ...]:
@@ -503,7 +491,7 @@ def emit_paircode(g: SmallGraph) -> str:
 def to_graph6(g: SmallGraph) -> str:
     """Encode in graph6 (column-major upper-triangle bits, 6 per byte)."""
     out = [chr(g.n + 63)]
-    bits = mask_to_code_bits(g.n, g.mask)
+    bits = _reversed(g.mask, g.pair_count)
     m = g.pair_count
     pad = -m % 6
     bits <<= pad
@@ -532,7 +520,7 @@ def from_graph6(text: str) -> SmallGraph:
     pad = -m % 6
     if bits & (1 << pad) - 1:
         raise ValueError("nonzero padding bits in graph6 string")
-    return SmallGraph(n, _code_to_mask(n, bits >> pad))
+    return SmallGraph(n, _reversed(bits >> pad, m))
 
 
 def parse_graph(text: str) -> SmallGraph:

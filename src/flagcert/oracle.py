@@ -10,10 +10,11 @@ Three independent checks live here:
   over every admissible integer triple, for rational k >= 3.
 * ``max_density_search``: exhaustive maximum of an induced-subgraph count
   over all isomorphism classes of one order, up to ``graphs.MAX_ORDER``
-  (12346 classes at order 8, 274668 at the largest order).  It extends the
-  order-(n-1) classes by one vertex instead of listing order n: pass 1
-  takes the maximum over every candidate child, with no canonicity test,
-  and pass 2 tests only the candidates at the maximum.
+  (12346 classes at order 8, 274668 at the largest order).  Each class is
+  counted from its canonical parent, up from the order-0 graph, and order
+  n is never listed: pass 1 takes the maximum over every candidate child
+  of the order-(n-1) classes, with no canonicity test, and pass 2 runs the
+  listing's child step only on the candidates at the maximum.
 
 Everything is exact: the scan clears denominators and works in (unbounded)
 Python integers, so a reported pass is a proof for the scanned range.  The
@@ -27,14 +28,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .graphs import (
     SmallGraph,
-    _child_rows,
-    _is_canonical,
-    _rows,
+    _canonical_children,
     _start_column,
     check_order,
     count_induced,
@@ -155,10 +153,11 @@ def counting_identity_check(max_n: int) -> IdentityCheckReport:
     checked = 0
     bad: list[str] = []
     for n in range(1, max_n + 1):
-        for g in enumerate_graphs(n):
+        hosts = enumerate_graphs(n)
+        for g, count in zip(hosts, _induced_counts(_TARGET, n, hosts)):
             checked += 1
             lhs = sum(edge_local_count(g, u, v) for u, v in g.edges())
-            if lhs != 4 * count_induced(_TARGET, g):
+            if lhs != 4 * count:
                 bad.append(to_graph6(g))
     return IdentityCheckReport(max_n, checked, tuple(bad))
 
@@ -398,41 +397,61 @@ def _result(
 def _column_counts(
     h: SmallGraph, n: int, edge_count: int | None
 ) -> tuple[list[int], list[tuple]]:
-    """Pass 1: h's count in every candidate child, and the maximum per edge count.
+    """Pass 1: the maximum of h's count per edge count over every candidate child.
 
-    Orderly generation makes every order-n class a canonical order-(n-1)
-    parent P plus a new vertex whose column is at least P's start column
-    (``graphs._start_column``).  A candidate's count is count(h, P) plus
-    the (|h|-1)-subsets S of P that the new vertex completes to h; whether
-    it does depends only on S's induced mask and on the new column within
-    S, which is decided once per mask with ``count_induced`` on |h|
-    vertices.  Every candidate is some order-n graph and every class's
-    canonical form is a candidate, so the maximum over candidates is the
-    maximum over classes.  No canonical code is computed here.
-
-    Returns the maxima (index = edge count) and, per parent, its mask,
-    edge count, count, start column and new copies per column (index =
-    column, vertex 0 highest).
+    A candidate is an order-(n-1) class P plus a new vertex whose column is
+    at least P's start column (``graphs._start_column``).  Its count is P's
+    count plus P's new copies at that column, both from ``_new_copies``.
+    Every class's canonical form is a candidate, so the maximum over
+    candidates is the maximum over classes.  No canonical code is computed
+    here.  Returns the maxima (index = edge count) and the parents.
     """
     check_order(n)  # the listing's own guard, run before the cheaper ones
     if h.n > n:
         raise ValueError("pattern has more vertices than the host order")
     if edge_count is not None and not 0 <= edge_count <= n * (n - 1) // 2:
         raise ValueError(f"edge count {edge_count} impossible at order {n}")
-    m, j = n - 1, h.n - 1
-    if m:
-        hosts = enumerate_graphs(m)
-        counts = _induced_counts(h, m, hosts)
-        heads = [(g.mask, c, _start_column(m, g.mask)) for g, c in zip(hosts, counts)]
-    else:  # K1 is the order-0 graph plus one empty column
-        heads = [(0, 0, 0)]
-    completing: dict[str, list[int]] = {}  # S's induced mask, as bits -> its completions
-    index, subsets = _subset_columns(m, j)
-    width = m * (m - 1) // 2
+    m = n - 1
+    parents = _new_copies(h, m, {})
     weights = [col.bit_count() for col in range(1 << m)]
     best = [-1] * (n * (n - 1) // 2 + 1)
-    parents = []
-    for mask, count, start in heads:
+    for mask, count, start, new in parents:
+        edges = mask.bit_count()
+        for col in range(start, 1 << m):
+            e = edges + weights[col]
+            if count + new[col] > best[e]:
+                best[e] = count + new[col]
+    return best, parents
+
+
+def _extended(h: SmallGraph, m: int, completing: dict[str, list[int]]):
+    """Yield (mask, h's count) for each order-m class, in listing order.
+
+    A count is the canonical parent's (the first m-1 vertices: the mask's
+    low C(m-1, 2) bits) plus its new copies at the class's last column,
+    ``_start_column(m, mask) >> 1``, down to the order-0 graph.
+    """
+    if not m:
+        yield 0, 0  # the order-0 graph
+        return
+    parents = {p[0]: p for p in _new_copies(h, m - 1, completing)}
+    low = (1 << (m - 1) * (m - 2) // 2) - 1
+    for g in enumerate_graphs(m):
+        _, count, _, new = parents[g.mask & low]
+        yield g.mask, count + new[_start_column(m, g.mask) >> 1]
+
+
+def _new_copies(h: SmallGraph, m: int, completing: dict[str, list[int]]) -> list[tuple]:
+    """Per order-m class: mask, h's count, start column and new copies per column.
+
+    The new copies at a column (index = column, vertex 0 highest) are the
+    (|h|-1)-subsets S that a new vertex with that column completes to h,
+    decided once per induced mask of S into ``completing`` for every order.
+    """
+    index, subsets = _subset_columns(m, h.n - 1)
+    width = m * (m - 1) // 2
+    out = []
+    for mask, count in _extended(h, m, completing):
         bits = f"{mask:0{width}b}"
         keys = "".join(map(bits.__getitem__, index))
         # one byte per column; none overflows, as at most C(8, 4) = 70 copies are new
@@ -444,14 +463,8 @@ def _column_counts(
                 ts = completing[sub] = _completions(h, int(sub or "0", 2))
             for t in ts:
                 lanes += per_t[t]
-        new = lanes.to_bytes(1 << m, "little")
-        edges = mask.bit_count()
-        for col in range(start, 1 << m):
-            e = edges + weights[col]
-            if count + new[col] > best[e]:
-                best[e] = count + new[col]
-        parents.append((mask, edges, count, start, new))
-    return best, parents
+        out.append((mask, count, _start_column(m, mask), lanes.to_bytes(1 << m, "little")))
+    return out
 
 
 def _completions(h: SmallGraph, sub: int) -> list[int]:
@@ -465,7 +478,6 @@ def _completions(h: SmallGraph, sub: int) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=8)
 def _subset_columns(m: int, j: int) -> tuple[tuple[int, ...], tuple[tuple[slice, tuple], ...]]:
     """Per j-subset S of range(m): where its induced mask lies, and its columns.
 
@@ -494,21 +506,18 @@ def _subset_columns(m: int, j: int) -> tuple[tuple[int, ...], tuple[tuple[slice,
 def _maximizers(n: int, parents: list[tuple], target: list[int]) -> list[tuple[int, str]]:
     """Pass 2: (edge count, graph6) of each canonical candidate at its target count.
 
-    Visits parents in code order and columns in increasing order, as
-    ``graphs.enumerate_graphs`` lists the children, and tests canonicity
-    only where a candidate's count equals the target of its edge count.
+    Visits parents in code order and hands the columns whose candidate's
+    count equals the target of its edge count to the listing's child step,
+    ``graphs._canonical_children``, which keeps them in increasing order.
     """
     m = n - 1
     found = []
-    for mask, edges, count, start, new in parents:
-        rows = None
-        for col in range(start, 1 << m):
-            e = edges + col.bit_count()
-            if count + new[col] == target[e]:
-                rows = rows or _rows(m, mask)
-                nbrs = int(f"{col:0{m}b}"[::-1], 2)
-                if _is_canonical(_child_rows(rows, nbrs), 0):
-                    found.append((e, to_graph6(SmallGraph(n, mask | nbrs << m * (m - 1) // 2))))
+    for mask, count, start, new in parents:
+        goal = target[mask.bit_count() :]  # index = the new column's weight
+        columns = [col for col in range(start, 1 << m) if count + new[col] == goal[col.bit_count()]]
+        if columns:
+            for child in _canonical_children(m, mask, columns):
+                found.append((child.bit_count(), to_graph6(SmallGraph(n, child))))
     return found
 
 

@@ -141,6 +141,12 @@ def test_parse_rejects_malformed():
         ("type: 1 2 2", "type: 1 2 2 2 2 2", 24, "type order does not match labels"),
         ("type: 1 2 2", "type: 2 2 2", 24, "does not carry the declared type"),
         ("row: 12 ; 41 ; -94", "row: 12 ; 41 ; x", 28, "x"),
+        (
+            "flags: 1 2 1 2 1 2 ; 1 2 2 2 2 2 ; 1 2 2 2 2 1",
+            "flags: 1 2 1 2 1 2 ; 1 2 2 2 2 2 ; 1 2 1 2 1 2",
+            22,
+            "square flags are not pairwise distinct",
+        ),
         ("row: 12 ; 41 ; -94", "row: 12 ; 41", 22, "matrix is not square"),
         ("row: 12 ; 41 ; -94", "row: 13 ; 41 ; -94", 22, "matrix is not symmetric"),
         ("row: 12 ; 41 ; -94", "row: 12 ; 41 ; -94\npsd-condition: [1]", 29, "parametric kind"),
@@ -1040,7 +1046,7 @@ def test_reports_are_frozen(case):
 def test_count_table_cache_is_bounded_and_holds_the_bundle():
     table = flags._count_table
     assert table.cache_info().maxsize == flags.TABLE_CACHE_SIZE
-    listing_caches = (graphs._rows, graphs._min_code_cached, graphs._enumerate)
+    listing_caches = (graphs._min_code_cached, graphs._enumerate)
     for cache in (table,) + listing_caches:
         cache.cache_clear()
     for name, golden in (
@@ -1050,7 +1056,7 @@ def test_count_table_cache_is_bounded_and_holds_the_bundle():
         assert report.passed
         if golden:
             assert compare_with_golden(report, load_golden(golden + ".golden")) == []
-    # every table, row tuple, code and listing the bundle needs stays
+    # every table, code and listing the bundle needs stays
     # cached: none is computed twice
     for cache in (table,) + listing_caches:
         info = cache.cache_info()
@@ -1072,6 +1078,6 @@ def _package_caches():
 
 def test_every_cache_in_the_package_is_bounded():
     caches = _package_caches()
-    assert {"flagcert.graphs._rows", "flagcert.flags._count_table"} <= set(caches)
+    assert {"flagcert.graphs._min_code_cached", "flagcert.flags._count_table"} <= set(caches)
     unbounded = [name for name, c in caches.items() if c.cache_parameters()["maxsize"] is None]
     assert unbounded == []

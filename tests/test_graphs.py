@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from flagcert import graphs
 from flagcert.graphs import (
     SmallGraph,
-    _code_to_mask,
     _is_canonical,
     _min_code,
+    _reversed,
     _rows,
     automorphism_count,
     blowup_graph,
@@ -110,11 +110,10 @@ def test_enumeration_order8_count():
 
 def test_enumeration_keeps_candidates_out_of_caches():
     # order 7 tests 156 * 2**6 = 9984 candidates; none of them, and none of
-    # the parents, may stay in the lru caches
-    for cache in (graphs._enumerate, graphs._rows, graphs._min_code_cached):
+    # the parents, may stay in the code cache
+    for cache in (graphs._enumerate, graphs._min_code_cached):
         cache.cache_clear()
     assert len(enumerate_graphs(7)) == 1044
-    assert graphs._rows.cache_info().currsize == 0
     assert graphs._min_code_cached.cache_info().currsize == 0
 
 
@@ -176,7 +175,7 @@ def test_canonicity_test_matches_minimisation(g, fixed, canonize):
     fixed = min(fixed, g.n)
     mask = g.mask
     if canonize:  # canonical forms are rare among random masks
-        mask = _code_to_mask(g.n, _min_code(g.n, mask, fixed))
+        mask = _reversed(_min_code(g.n, mask, fixed), g.pair_count)
     expect = _min_code(g.n, mask, fixed) == mask_to_code_bits(g.n, mask)
     assert _is_canonical(_rows(g.n, mask), fixed) == expect
 

@@ -59,3 +59,23 @@ def test_cli_import_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_graphs_reaches_the_canonicity_search():
+    # one child step: a second orderly-generation loop elsewhere would
+    # need the canonicity test or the search behind it
+    names = {"_is_canonical", "_search"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name in names:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno} references {name}")
+    assert found == []

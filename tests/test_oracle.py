@@ -25,6 +25,7 @@ from flagcert.oracle import (
     DegreeLocalData,
     ScanViolation,
     _column_counts,
+    _extended,
     _scan_cell,
     counting_identity_check,
     degree_local_data,
@@ -348,6 +349,26 @@ def test_oracle_counts_without_canonical_codes(monkeypatch):
     assert (
         hashlib.sha256(rows.encode()).hexdigest()
         == "5312f0d73036a2662b178f2e213c96164cffd84a250c8acd9781ef3fe5273dc7"
+    )
+
+
+def test_extension_counts_every_class():
+    # each class's count is its canonical parent's plus the parent's new
+    # copies at the class's last column: against count_induced per class
+    for k in range(1, 5):
+        for h in enumerate_graphs(k):
+            for m in range(1, 8):
+                counts = [c for _, c in _extended(h, m, {})]
+                assert counts == [count_induced(h, g) for g in enumerate_graphs(m)]
+    # K221 at orders 1..8: the digest test_counts_are_frozen records
+    lines = "\n".join(
+        f"{to_graph6(g)} {c}"
+        for m in range(1, 9)
+        for g, (_, c) in zip(enumerate_graphs(m), _extended(K221, m, {}))
+    )
+    assert (
+        hashlib.sha256(lines.encode()).hexdigest()
+        == "981694e298f4b092f6049ec189059d92e8a6894bdd5a30b8ec9c527eed26f29d"
     )
 
 
