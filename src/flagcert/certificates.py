@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
@@ -126,28 +126,27 @@ def parse_value(tok: str, parametric: bool):
 # certificate structure
 
 
-@dataclass(frozen=True)
-class LinearTerm:
+class LinearTerm(namedtuple("LinearTerm", "vector factor vector_order factor_order")):
     """(sum of coeff * graph) times (sum of coeff * graph-or-constant)."""
 
-    vector: tuple
-    factor: tuple
-    vector_order: int
-    factor_order: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SquareTerm:
-    """multiplier * [[ F (B M B^T) F^T ]]; vector terms mean M = v v^T."""
+class SquareTerm(
+    namedtuple(
+        "SquareTerm",
+        "labels multiplier flags vector matrix congruence psd_condition"
+        " psd_condition_factor",
+    )
+):
+    """multiplier * [[ F (B M B^T) F^T ]]; vector terms mean M = v v^T.
 
-    labels: int
-    multiplier: object
-    flags: tuple
-    vector: tuple | None
-    matrix: tuple | None
-    congruence: tuple | None
-    psd_condition: KPolynomial | None
-    psd_condition_factor: RationalFunction | None
+    Exactly one of ``vector`` and ``matrix`` is set; ``congruence`` (B),
+    ``psd_condition`` (a KPolynomial) and ``psd_condition_factor`` (a
+    RationalFunction) may be None.
+    """
+
+    __slots__ = ()
 
     def full_matrix(self) -> list[list]:
         """The matrix the expansion actually uses, congruence applied."""
@@ -170,21 +169,16 @@ class SquareTerm:
         return out
 
 
-@dataclass(frozen=True)
-class Certificate:
-    name: str
-    kind: str
-    expansion_order: int
-    target: SmallGraph
-    target_coefficient: object
-    scale: object
-    bound: object
-    strict: bool
-    k0: Fraction | None
-    alt_bound: object | None
-    note: str | None
-    linear_terms: tuple
-    square_terms: tuple
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "name kind expansion_order target target_coefficient scale bound strict"
+        " k0 alt_bound note linear_terms square_terms",
+    )
+):
+    """A parsed certificate; ``k0``, ``alt_bound`` and ``note`` may be None."""
+
+    __slots__ = ()
 
     @property
     def parametric(self) -> bool:
@@ -534,19 +528,24 @@ def certificate_expansion(cert: Certificate) -> FlagVector:
 # reports
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    name: str
-    kind: str
-    verdict: str
-    k0: Fraction | None
-    coefficients: dict
-    max_coefficient: object | None
-    argmax: str | None
-    zero_set: tuple
-    psd_condition_root: Fraction | None
-    failures: tuple
-    notes: tuple
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "name kind verdict k0 coefficients max_coefficient argmax zero_set"
+        " psd_condition_root failures notes",
+    )
+):
+    """The verdict on one certificate, with the evidence ``lines`` prints.
+
+    Instances keep a ``__dict__`` for ``largest_roots``; assignment and
+    deletion still raise AttributeError.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def passed(self) -> bool:
@@ -834,13 +833,17 @@ def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
 # golden tables
 
 
-@dataclass(frozen=True)
-class Golden:
-    label: str
-    coefficient_rows: tuple = ()
-    polynomial_rows: tuple = ()
-    zero_codes: tuple = ()
-    profile_rows: tuple = ()
+class Golden(
+    namedtuple(
+        "Golden",
+        "label coefficient_rows polynomial_rows zero_codes profile_rows",
+        defaults=((),) * 4,
+    )
+):
+    """A published table of coefficients, polynomials, zero-set codes or
+    profile rows, for comparison with a report."""
+
+    __slots__ = ()
 
     def check_kind(self, kind: str) -> None:
         """Raise ValueError unless this golden's rows fit a ``kind`` report.

@@ -19,11 +19,11 @@ to rationals, which makes piece-to-piece continuity an exact equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactmath import frac
-from .graphs import SmallGraph, automorphism_count, complete
+from .graphs import SmallGraph, _Frozen, automorphism_count, complete
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -177,18 +177,16 @@ class QuadExt:
 # blowup models
 
 
-@dataclass(frozen=True)
-class BlowupModel:
+class BlowupModel(_Frozen):
     """Base graph plus vertex weights (nonnegative, summing to one)."""
 
-    base: SmallGraph
-    weights: tuple
+    __slots__ = ("base", "weights")
 
-    def __post_init__(self):
-        if len(self.weights) != self.base.n:
+    def __init__(self, base: SmallGraph, weights: tuple):
+        if len(weights) != base.n:
             raise ValueError("one weight per base vertex required")
         total = 0
-        for w in self.weights:
+        for w in weights:
             if isinstance(w, QuadExt):
                 if not w.is_nonnegative():
                     raise ValueError("negative weight")
@@ -198,6 +196,11 @@ class BlowupModel:
         one = QuadExt(1) if isinstance(total, QuadExt) else Fraction(1)
         if total != one:
             raise ValueError(f"weights sum to {total}, not 1")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "weights", weights)
+
+    def _key(self) -> tuple:
+        return (self.base, self.weights)
 
 
 def blowup_density(model: BlowupModel, h: SmallGraph):
@@ -303,10 +306,8 @@ def piece_model(k: int, e) -> BlowupModel:
     return BlowupModel(complete(k + 1), weights)
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
-    e: Fraction
-    value: QuadExt
+class ProfilePoint(namedtuple("ProfilePoint", "e value")):
+    __slots__ = ()
 
     def csv_row(self, decimals: int = 6) -> str:
         ev = float(Fraction(self.e))

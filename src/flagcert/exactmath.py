@@ -14,11 +14,11 @@ over Q(k) on a ray, as PSD / not-PSD with a checkable witness either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 def frac(x) -> Fraction:
@@ -391,12 +391,10 @@ def cauchy_bound(p: KPolynomial) -> Fraction:
     return 1 + max(abs(c) / lc for c in p.coeffs[:-1])
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(namedtuple("RootBracket", "lower upper")):
     """Rational bracket (lower, upper] known to contain the root."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = ()
 
     @property
     def width(self) -> Fraction:
@@ -623,11 +621,10 @@ def _rational_nonneg(d) -> bool:
     return d >= 0
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(namedtuple("SymMatrix", "entries")):
     """Symmetric matrix over Q or Q(k) (entries validated on construction)."""
 
-    entries: tuple[tuple, ...]
+    __slots__ = ()
 
     @staticmethod
     def from_rows(rows) -> "SymMatrix":
@@ -656,8 +653,9 @@ class SymMatrix:
         )
 
 
-@dataclass(frozen=True)
-class PSDResult:
+class PSDResult(
+    namedtuple("PSDResult", "psd perm lower diag witness", defaults=(None,) * 4)
+):
     """Outcome of an exact LDL^T factorization attempt.
 
     PSD case: perm, unit lower-triangular factor and pivots accepted by
@@ -665,11 +663,7 @@ class PSDResult:
     vector whose value witness^T M witness the predicate rejects.
     """
 
-    psd: bool
-    perm: tuple[int, ...] | None = None
-    lower: tuple[tuple, ...] | None = None
-    diag: tuple | None = None
-    witness: tuple | None = None
+    __slots__ = ()
 
     def verify(self, m: SymMatrix, nonneg=_rational_nonneg) -> bool:
         """Re-check the stored evidence against the matrix."""

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import (
     SmallGraph,
+    _Frozen,
     _enumerate,
     _min_code_cached,
     _reversed,
@@ -51,16 +51,19 @@ from .graphs import (
 MAX_BASIS_ORDER = 6
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(_Frozen):
     """Graph with the first ``labels`` vertices pinned (in order)."""
 
-    graph: SmallGraph
-    labels: int
+    __slots__ = ("graph", "labels")
 
-    def __post_init__(self):
-        if not 0 <= self.labels <= self.graph.n:
-            raise ValueError(f"label count {self.labels} outside 0..{self.graph.n}")
+    def __init__(self, graph: SmallGraph, labels: int):
+        if not 0 <= labels <= graph.n:
+            raise ValueError(f"label count {labels} outside 0..{graph.n}")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labels", labels)
+
+    def _key(self) -> tuple[SmallGraph, int]:
+        return (self.graph, self.labels)
 
     @property
     def order(self) -> int:

@@ -41,7 +41,6 @@ empty graph, so it stays separate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,17 +60,79 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-@dataclass(frozen=True, order=True)
-class SmallGraph:
+class _Frozen:
+    """Immutable value over ``__slots__``: equal to and hashed with values of
+    its own class only, by ``_key()``, the fields in constructor order.
+
+    The package writes its value types out like this, with no generated
+    methods: every command is a fresh process, and generating a class's
+    methods compiles them at import.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Ordered(_Frozen):
+    """A ``_Frozen`` value ordered by ``_key()`` within its class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() <= other._key()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() > other._key()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() >= other._key()
+        return NotImplemented
+
+
+class SmallGraph(_Ordered):
     """Immutable simple graph on ``n`` labelled vertices (1 <= n <= 9)."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        check_order(self.n)
-        if self.mask < 0 or self.mask >> (self.n * (self.n - 1) // 2):
+    def __init__(self, n: int, mask: int):
+        check_order(n)
+        if mask < 0 or mask >> (n * (n - 1) // 2):
             raise ValueError("edge mask has bits outside the upper triangle")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    def _key(self) -> tuple[int, int]:
+        return (self.n, self.mask)
 
     @property
     def pair_count(self) -> int:
@@ -131,16 +192,21 @@ class SmallGraph:
         return emit_paircode(self)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(_Ordered):
     """Minimal column-major adjacency bit string, packed first-bit-highest.
 
     Two graphs are isomorphic iff their codes compare equal.  Codes of
     equal order compare lexicographically (== numerically).
     """
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
+
+    def __init__(self, n: int, bits: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
+
+    def _key(self) -> tuple[int, int]:
+        return (self.n, self.bits)
 
 
 # Cache bounds, each at least twice what the four bundled certificates use

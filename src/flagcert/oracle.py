@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .graphs import (
     SmallGraph,
+    _Frozen,
     _canonical_children,
     _start_column,
     check_order,
@@ -84,24 +85,23 @@ def edge_local_count(g: SmallGraph, u: int, v: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DegreeLocalData:
+class DegreeLocalData(_Frozen):
     """Degree statistics of one edge uv in an n-vertex graph."""
 
-    n: int
-    d_u: int
-    d_v: int
-    d_uv: int
-    i_uv: int
+    __slots__ = ("n", "d_u", "d_v", "d_uv", "i_uv")
 
-    def __post_init__(self):
-        if not (1 <= self.d_u <= self.n - 1 and 1 <= self.d_v <= self.n - 1):
+    def __init__(self, n: int, d_u: int, d_v: int, d_uv: int, i_uv: int):
+        if not (1 <= d_u <= n - 1 and 1 <= d_v <= n - 1):
             raise ValueError("endpoint degrees must lie in 1..n-1")
-        lo = max(0, self.d_u + self.d_v - self.n)
-        if not lo <= self.d_uv <= min(self.d_u, self.d_v):
+        if not max(0, d_u + d_v - n) <= d_uv <= min(d_u, d_v):
             raise ValueError("common-neighbour count out of range")
-        if self.i_uv < 0:
+        if i_uv < 0:
             raise ValueError("edge-local count cannot be negative")
+        for name, value in zip(self.__slots__, (n, d_u, d_v, d_uv, i_uv)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple[int, int, int, int, int]:
+        return (self.n, self.d_u, self.d_v, self.d_uv, self.i_uv)
 
 
 def degree_local_data(g: SmallGraph, u: int, v: int) -> DegreeLocalData:
@@ -118,13 +118,12 @@ def degree_local_data(g: SmallGraph, u: int, v: int) -> DegreeLocalData:
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheckReport:
+class IdentityCheckReport(
+    namedtuple("IdentityCheckReport", "max_order graphs_checked exceptions")
+):
     """Outcome of the exhaustive edge-local counting identity check."""
 
-    max_order: int
-    graphs_checked: int
-    exceptions: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -174,35 +173,31 @@ def counting_identity_check(max_n: int) -> IdentityCheckReport:
 # equivalent to the rational one.
 
 
-@dataclass(frozen=True)
-class ScanViolation:
-    k: Fraction
-    n: int
-    d_u: int
-    d_v: int
-    d_uv: int
-    inequality: str  # "want" or "case-i"
+class ScanViolation(namedtuple("ScanViolation", "k n d_u d_v d_uv inequality")):
+    """A degree triple (d_u, d_v, d_uv) at order n and parameter k that
+    breaks one inequality; ``inequality`` is "want" or "case-i"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TuranEquality:
-    """A scanned point where the inequality is exactly tight."""
+class TuranEquality(namedtuple("TuranEquality", "k n d d_uv value")):
+    """A scanned point where the inequality is exactly tight; ``value`` is
+    both sides, n^3 / k^3."""
 
-    k: Fraction
-    n: int
-    d: Fraction
-    d_uv: Fraction
-    value: Fraction  # both sides, = n^3 / k^3
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    k_values: tuple[Fraction, ...]
-    n_max: int
-    triples_checked: int
-    violations: tuple[ScanViolation, ...]
-    turan_equalities: tuple[TuranEquality, ...]
-    substitution_disagreements: tuple[tuple[Fraction, int, int, int], ...]
+class ScanReport(
+    namedtuple(
+        "ScanReport",
+        "k_values n_max triples_checked violations turan_equalities"
+        " substitution_disagreements",
+    )
+):
+    """Outcome of the degree-triple scan; each substitution disagreement is
+    a (k, n, d_u, d_v) tuple."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -336,15 +331,12 @@ def want_inequality_scan(k_set: Sequence[Fraction | int], n_max: int) -> ScanRep
 # exhaustive small-order search
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(
+    namedtuple("SearchResult", "n edge_count max_count density maximizers")
+):
     """Maximum induced-copy count over all order-n classes (one edge count)."""
 
-    n: int
-    edge_count: int | None
-    max_count: int
-    density: Fraction
-    maximizers: tuple[str, ...]
+    __slots__ = ()
 
     def csv_row(self) -> str:
         edges = "any" if self.edge_count is None else str(self.edge_count)

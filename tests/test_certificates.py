@@ -1,6 +1,5 @@
 """Certificate parsing, verification, goldens, and soundness checks."""
 
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -257,10 +256,9 @@ def test_negative_multiplier_refutes():
     assert "square term 1 multiplier: -20/9 is negative" in report.failures
     # also if a Certificate is doctored after loading
     cert = load_certificate("k3.cert")
-    doctored = dataclasses.replace(
-        cert,
+    doctored = cert._replace(
         square_terms=(
-            dataclasses.replace(cert.square_terms[0], multiplier=Fraction(-1)),
+            cert.square_terms[0]._replace(multiplier=Fraction(-1)),
         ) + cert.square_terms[1:],
     )
     report = verify_density_certificate(doctored)
@@ -567,8 +565,7 @@ def test_golden_detects_coefficient_drift():
     report = verify_certificate(load_certificate("lemma074.cert"))
     golden = load_golden("appendixB.golden")
     value, code = golden.coefficient_rows[0]
-    doctored = dataclasses.replace(
-        golden,
+    doctored = golden._replace(
         coefficient_rows=((value + Fraction(3, 1000), code),)
         + golden.coefficient_rows[1:],
     )
@@ -579,11 +576,9 @@ def test_golden_detects_coefficient_drift():
 def test_golden_detects_zero_set_drift():
     report = verify_certificate(load_certificate("appendixA.cert"))
     golden = load_golden("appendixC.golden")
-    doctored = dataclasses.replace(golden, zero_codes=golden.zero_codes[:-1])
+    doctored = golden._replace(zero_codes=golden.zero_codes[:-1])
     assert compare_with_golden(report, doctored)
-    doctored2 = dataclasses.replace(
-        golden, zero_codes=golden.zero_codes + ("2 2 2",)
-    )
+    doctored2 = golden._replace(zero_codes=golden.zero_codes + ("2 2 2",))
     assert compare_with_golden(report, doctored2)
 
 
@@ -591,8 +586,7 @@ def test_golden_detects_root_drift():
     report = verify_certificate(load_certificate("appendixA.cert"))
     golden = load_golden("appendixC.golden")
     poly, code, root = golden.polynomial_rows[0]
-    doctored = dataclasses.replace(
-        golden,
+    doctored = golden._replace(
         polynomial_rows=((poly, code, root + Fraction(1, 10**4)),)
         + golden.polynomial_rows[1:],
     )
@@ -629,7 +623,7 @@ def test_golden_must_fit_the_report_kind():
     for report, golden in ((numeric, c), (numeric, p), (parametric, b), (parametric, p)):
         with pytest.raises(ValueError, match="is not a table of"):
             compare_with_golden(report, golden)
-    mixed = dataclasses.replace(c, coefficient_rows=b.coefficient_rows)
+    mixed = c._replace(coefficient_rows=b.coefficient_rows)
     with pytest.raises(ValueError):
         compare_with_golden(parametric, mixed)
 
@@ -681,11 +675,10 @@ def test_parametric_soundness_on_random_models():
 
 def test_zeroed_certificate_is_lift_of_target():
     cert = load_certificate("k4.cert")
-    gutted = dataclasses.replace(
-        cert,
+    gutted = cert._replace(
         linear_terms=(),
         square_terms=tuple(
-            dataclasses.replace(st, multiplier=Fraction(0))
+            st._replace(multiplier=Fraction(0))
             for st in cert.square_terms
         ),
     )
@@ -722,11 +715,10 @@ def test_lemma074_linear_term_vanishes_at_pinned_density():
     assert edge_density == Fraction(37, 50)
 
     cert = load_certificate("lemma074.cert")
-    linear_only = dataclasses.replace(
-        cert,
+    linear_only = cert._replace(
         target_coefficient=Fraction(0),
         square_terms=tuple(
-            dataclasses.replace(st, multiplier=Fraction(0))
+            st._replace(multiplier=Fraction(0))
             for st in cert.square_terms
         ),
     )

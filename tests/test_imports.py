@@ -43,22 +43,32 @@ def test_no_module_imports_a_process_pool():
     assert pools == []
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # no command starts worker processes, so none should pay their import
+def _loaded_after_cli_import(names) -> list[str]:
+    """Those of ``names`` a fresh interpreter holds after ``import flagcert.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
     )
     probe = (
         "import sys, flagcert.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+        f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # no command starts worker processes, so none should pay their import
+    assert _loaded_after_cli_import(("concurrent.futures", "multiprocessing")) == []
+
+
+def test_cli_import_builds_no_dataclass():
+    # every command is a fresh process: building a dataclass compiles its
+    # methods at import, and the module pulls in inspect
+    assert _loaded_after_cli_import(("dataclasses", "inspect")) == []
 
 
 def test_only_graphs_reaches_the_canonicity_search():

@@ -1,0 +1,234 @@
+"""Contracts of the package's value types: how they are built, compared,
+hashed and ordered, that they cannot be assigned to, and the messages
+their validations raise."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from flagcert.certificates import (
+    Certificate,
+    Golden,
+    LinearTerm,
+    SquareTerm,
+    VerificationReport,
+    load_certificate,
+    verify_certificate,
+)
+from flagcert.constructions import BlowupModel, ProfilePoint, QuadExt
+from flagcert.exactmath import PSDResult, RootBracket, SymMatrix
+from flagcert.flags import Flag
+from flagcert.graphs import CanonicalCode, SmallGraph, complete, empty
+from flagcert.oracle import (
+    DegreeLocalData,
+    IdentityCheckReport,
+    ScanReport,
+    ScanViolation,
+    SearchResult,
+    TuranEquality,
+)
+
+HALF = Fraction(1, 2)
+
+# (class, keyword arguments of one valid instance), one row per value type
+VALUES = [
+    (SmallGraph, dict(n=3, mask=5)),
+    (CanonicalCode, dict(n=3, bits=6)),
+    (RootBracket, dict(lower=Fraction(1), upper=Fraction(2))),
+    (SymMatrix, dict(entries=((Fraction(1),),))),
+    (PSDResult, dict(psd=False, perm=None, lower=None, diag=None, witness=(1,))),
+    (Flag, dict(graph=complete(3), labels=2)),
+    (LinearTerm, dict(vector=(), factor=(), vector_order=2, factor_order=2)),
+    (
+        SquareTerm,
+        dict(
+            labels=1, multiplier=Fraction(1), flags=(), vector=(1,), matrix=None,
+            congruence=None, psd_condition=None, psd_condition_factor=None,
+        ),
+    ),
+    (
+        Certificate,
+        dict(
+            name="c", kind="numeric", expansion_order=5, target=complete(3),
+            target_coefficient=1, scale=1, bound=1, strict=False, k0=None,
+            alt_bound=None, note=None, linear_terms=(), square_terms=(),
+        ),
+    ),
+    (
+        VerificationReport,
+        dict(
+            name="c", kind="numeric", verdict="PASS", k0=None, coefficients={},
+            max_coefficient=None, argmax=None, zero_set=(), psd_condition_root=None,
+            failures=(), notes=(),
+        ),
+    ),
+    (
+        Golden,
+        dict(
+            label="g", coefficient_rows=(), polynomial_rows=(), zero_codes=(),
+            profile_rows=(),
+        ),
+    ),
+    (BlowupModel, dict(base=complete(2), weights=(HALF, HALF))),
+    (ProfilePoint, dict(e=HALF, value=QuadExt(1))),
+    (DegreeLocalData, dict(n=5, d_u=3, d_v=3, d_uv=1, i_uv=1)),
+    (IdentityCheckReport, dict(max_order=3, graphs_checked=7, exceptions=())),
+    (ScanViolation, dict(k=Fraction(3), n=4, d_u=1, d_v=2, d_uv=0, inequality="want")),
+    (TuranEquality, dict(k=Fraction(3), n=3, d=Fraction(2), d_uv=Fraction(1), value=Fraction(1))),
+    (
+        ScanReport,
+        dict(
+            k_values=(Fraction(3),), n_max=4, triples_checked=1, violations=(),
+            turan_equalities=(), substitution_disagreements=(),
+        ),
+    ),
+    (
+        SearchResult,
+        dict(n=3, edge_count=None, max_count=1, density=Fraction(1), maximizers=("a",)),
+    ),
+]
+IDS = [cls.__name__ for cls, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls, fields", VALUES, ids=IDS)
+def test_keyword_and_positional_constructors_agree(cls, fields):
+    by_name = cls(**fields)
+    by_position = cls(*fields.values())
+    for name, value in fields.items():
+        assert getattr(by_name, name) is value
+        assert getattr(by_position, name) is value
+    assert by_name == by_position
+
+
+@pytest.mark.parametrize("cls, fields", VALUES, ids=IDS)
+def test_assignment_and_deletion_raise_attribute_error(cls, fields):
+    value = cls(**fields)
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(value, name, fields[name])
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) is fields[name]
+
+
+def test_defaults():
+    assert Golden("g") == Golden("g", (), (), (), ())
+    g = Golden(label="g")
+    assert (g.coefficient_rows, g.polynomial_rows, g.zero_codes, g.profile_rows) == ((),) * 4
+    p = PSDResult(True)
+    assert (p.psd, p.perm, p.lower, p.diag, p.witness) == (True, None, None, None, None)
+    assert PSDResult(psd=False) == PSDResult(False, None, None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# the validated value types
+
+
+def test_graph_values_equal_only_their_own_class():
+    g, code, flag = SmallGraph(3, 5), CanonicalCode(3, 5), Flag(SmallGraph(3, 5), 0)
+    assert g == SmallGraph(3, 5) and hash(g) == hash(SmallGraph(3, 5))
+    assert code == CanonicalCode(3, 5) and hash(code) == hash(CanonicalCode(3, 5))
+    assert flag == Flag(SmallGraph(3, 5), 0) and hash(flag) == hash(Flag(SmallGraph(3, 5), 0))
+    assert g != SmallGraph(3, 6) and g != SmallGraph(4, 5)
+    assert flag != Flag(SmallGraph(3, 5), 1) and flag != Flag(SmallGraph(3, 6), 0)
+    assert g != code and code != g
+    assert g != (3, 5) and code != (3, 5) and flag != (g, 0)
+    assert len({g, code, flag, (3, 5)}) == 4
+    assert {SmallGraph(3, m) for m in (5, 5, 6)} == {SmallGraph(3, 5), SmallGraph(3, 6)}
+
+
+def test_graphs_and_codes_order_by_their_fields():
+    graphs = [SmallGraph(4, 1), SmallGraph(3, 7), SmallGraph(3, 0), SmallGraph(4, 0)]
+    assert [(g.n, g.mask) for g in sorted(graphs)] == [(3, 0), (3, 7), (4, 0), (4, 1)]
+    codes = [CanonicalCode(4, 0), CanonicalCode(3, 7), CanonicalCode(3, 1)]
+    assert [(c.n, c.bits) for c in sorted(codes)] == [(3, 1), (3, 7), (4, 0)]
+    a, b = SmallGraph(3, 1), SmallGraph(3, 2)
+    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
+    assert not (b < a or a > b)
+    with pytest.raises(TypeError):
+        SmallGraph(3, 1) < CanonicalCode(3, 2)
+    with pytest.raises(TypeError):
+        SmallGraph(3, 1) < (3, 2)
+    with pytest.raises(TypeError):
+        Flag(a, 0) < Flag(b, 0)
+
+
+@pytest.mark.parametrize("cls", [SmallGraph, CanonicalCode, Flag, BlowupModel, DegreeLocalData])
+def test_validated_values_copy_and_pickle(cls):
+    value = cls(**dict(VALUES)[cls])
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value) and type(twin) is cls
+
+
+def test_graph_values_repr_names_their_fields():
+    assert repr(SmallGraph(3, 5)) == "SmallGraph(n=3, mask=5)"
+    assert repr(CanonicalCode(3, 6)) == "CanonicalCode(n=3, bits=6)"
+    assert repr(Flag(SmallGraph(2, 1), 1)) == "Flag(graph=SmallGraph(n=2, mask=1), labels=1)"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SmallGraph(3, 8), "edge mask has bits outside the upper triangle"),
+        (lambda: SmallGraph(3, -1), "edge mask has bits outside the upper triangle"),
+        (lambda: SmallGraph(10, 0), "order 10 outside 1..9"),
+        (lambda: SmallGraph(0, 0), "order 0 outside 1..9"),
+        (lambda: Flag(complete(3), 4), "label count 4 outside 0..3"),
+        (lambda: Flag(complete(3), -1), "label count -1 outside 0..3"),
+        (lambda: BlowupModel(complete(3), (HALF, HALF)), "one weight per base vertex required"),
+        (lambda: BlowupModel(complete(2), (Fraction(3, 2), -HALF)), "negative weight"),
+        (lambda: BlowupModel(complete(2), (QuadExt(0, -1, 2), QuadExt(1))), "negative weight"),
+        (
+            lambda: BlowupModel(complete(2), (HALF, Fraction(1, 3))),
+            "weights sum to 5/6, not 1",
+        ),
+        (
+            lambda: DegreeLocalData(n=5, d_u=0, d_v=3, d_uv=0, i_uv=0),
+            "endpoint degrees must lie in 1..n-1",
+        ),
+        (
+            lambda: DegreeLocalData(n=5, d_u=3, d_v=5, d_uv=0, i_uv=0),
+            "endpoint degrees must lie in 1..n-1",
+        ),
+        (
+            lambda: DegreeLocalData(n=5, d_u=4, d_v=4, d_uv=2, i_uv=0),
+            "common-neighbour count out of range",
+        ),
+        (
+            lambda: DegreeLocalData(n=5, d_u=3, d_v=3, d_uv=1, i_uv=-1),
+            "edge-local count cannot be negative",
+        ),
+    ],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_blowup_models_and_degree_data_equal_only_their_own_class():
+    model = BlowupModel(complete(2), (HALF, HALF))
+    assert model == BlowupModel(complete(2), (HALF, HALF))
+    assert hash(model) == hash(BlowupModel(complete(2), (HALF, HALF)))
+    assert model != BlowupModel(empty(2), (HALF, HALF))
+    assert model != (complete(2), (HALF, HALF))
+    data = DegreeLocalData(5, 3, 3, 1, 1)
+    assert data == DegreeLocalData(5, 3, 3, 1, 1) and hash(data) == hash(DegreeLocalData(5, 3, 3, 1, 1))
+    assert data != DegreeLocalData(5, 3, 3, 1, 2) and data != (5, 3, 3, 1, 1)
+
+
+def test_report_caches_roots_and_stays_frozen():
+    report = verify_certificate(load_certificate("appendixA.cert"))
+    roots = report.largest_roots
+    assert roots and report.largest_roots is roots
+    with pytest.raises(AttributeError):
+        report.verdict = "FAIL"
+    with pytest.raises(AttributeError):
+        report.largest_roots = {}
+    with pytest.raises(AttributeError):
+        del report.largest_roots
+    assert report.verdict == "PASS" and report.largest_roots is roots
