@@ -61,7 +61,6 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 
 from .exactmath import (
     KPolynomial,
@@ -383,8 +382,7 @@ def _parse_certificate(text: str, at: list) -> Certificate:
             if tgraph.n != labels:
                 raise ValueError("type order does not match labels")
             for f in flags:
-                sub = f.graph.induced(tuple(range(labels)))
-                if sub.mask != tgraph.mask:
+                if f.type_mask != tgraph.mask:
                     raise ValueError(
                         f"flag {emit_paircode(f.graph)!r} does not carry the "
                         "declared type"
@@ -472,6 +470,10 @@ def _parse_certificate(text: str, at: list) -> Certificate:
 
 
 def _bundled(name: str):
+    # imported here: importlib.resources pulls in tempfile and zipfile, which
+    # a command that reads no bundled file need not load
+    from importlib import resources
+
     return resources.files("flagcert").joinpath("certs").joinpath(name)
 
 
@@ -594,6 +596,7 @@ class VerificationReport(
 
 
 def _code_of(g: SmallGraph) -> str:
+    """The pair code of g's class; golden rows may list any labelling."""
     return emit_paircode(g.canonical_form())
 
 
@@ -682,7 +685,7 @@ def _anchor_failures(cert: Certificate, positive, ray: str) -> list[str]:
             if (f_h - f_empty) * pairs != c * h.edge_count:
                 want = f_empty + c * Fraction(h.edge_count, pairs)
                 failures.append(
-                    f"linear term {i}: factor coefficient {f_h} at {_code_of(h)} "
+                    f"linear term {i}: factor coefficient {f_h} at {emit_paircode(h)} "
                     f"is not {want}, so the factor is not affine in the edge density"
                 )
         e = -f_empty / c
@@ -778,7 +781,7 @@ def _verify(cert: Certificate, k0: Fraction | None) -> VerificationReport:
     zero = []
     for g in enumerate_graphs(cert.expansion_order):
         c = expansion.coefficient(Flag(g, 0))
-        code = _code_of(g)
+        code = emit_paircode(g)  # listed classes are canonical forms already
         if parametric:
             deficit = RationalFunction(cert.scale) * (RationalFunction(cert.bound) - c)
             if not deficit.is_polynomial:

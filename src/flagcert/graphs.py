@@ -6,6 +6,14 @@ upper triangle.  Bit ``j*(j-1)//2 + i`` holds the pair ``(i, j)`` with
 (0,3), ...  A graph grows by one vertex by appending a column of bits.
 Codes and graph6 read the same pairs from the highest bit, so a code is
 its mask reversed over C(n, 2) places by the one helper ``_reversed``.
+Adjacency rows (bit v of row u: u and v are adjacent) are the other view,
+and two helpers convert: ``_rows`` (mask to rows) and ``_induced_mask``
+(rows and a vertex list to mask).  The builders ``induced``,
+``relabelled``, ``union``, ``turan`` and ``blowup_graph`` pack rows
+through ``_induced_mask``, and ``join`` is the complement of the union of
+the complements.  Two kernels pack masks their own way for speed: the
+type columns of ``flags._count_table`` and the bit-string slices of
+``oracle._new_copies``.
 
 The canonical code is the lexicographically minimal column-major bit
 string over all vertex orderings (a flag's labelled vertices pinned).
@@ -16,7 +24,9 @@ canonicity test fixes to the identity columns, stopping at the first
 smaller one.  Twins (swapping them is an automorphism) are explored
 once, which keeps highly symmetric graphs cheap.  One cache, keyed by
 edge mask, holds the codes: ``_min_code_cached(n, mask, fixed)``.
-Every cache here is bounded.
+Every cache here is bounded.  A class is named by one graph, its
+``canonical_form()``, whose mask is the minimal code reversed; there is
+no separate code type.
 
 Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
 1978).  A prefix of a minimal code is the minimal code of the subgraph it
@@ -42,7 +52,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 MAX_ORDER = 9
 
@@ -93,34 +103,12 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-class _Ordered(_Frozen):
-    """A ``_Frozen`` value ordered by ``_key()`` within its class."""
+@total_ordering
+class SmallGraph(_Frozen):
+    """Immutable simple graph on ``n`` labelled vertices (1 <= n <= 9).
 
-    __slots__ = ()
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() < other._key()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() <= other._key()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() > other._key()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() >= other._key()
-        return NotImplemented
-
-
-class SmallGraph(_Ordered):
-    """Immutable simple graph on ``n`` labelled vertices (1 <= n <= 9)."""
+    Graphs order by ``(n, mask)``, and only against graphs.
+    """
 
     __slots__ = ("n", "mask")
 
@@ -134,13 +122,16 @@ class SmallGraph(_Ordered):
     def _key(self) -> tuple[int, int]:
         return (self.n, self.mask)
 
+    def __lt__(self, other):
+        return self._key() < other._key() if other.__class__ is SmallGraph else NotImplemented
+
     @property
     def pair_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
     @property
     def edge_count(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def adjacent(self, i: int, j: int) -> bool:
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
@@ -152,18 +143,13 @@ class SmallGraph(_Ordered):
         return _rows(self.n, self.mask)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for j in range(self.n)
-            for i in range(j)
-            if self.mask >> _pair_index(i, j) & 1
-        ]
+        return [(i, j) for j, row in enumerate(self.rows()) for i in range(j) if row >> i & 1]
 
     def degree(self, v: int) -> int:
-        return bin(self.rows()[v]).count("1")
+        return self.rows()[v].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(bin(r).count("1") for r in self.rows()))
+        return tuple(sorted(r.bit_count() for r in self.rows()))
 
     def induced(self, vertices: tuple[int, ...]) -> "SmallGraph":
         """Subgraph induced on the given distinct vertices, relabelled 0.."""
@@ -171,15 +157,8 @@ class SmallGraph(_Ordered):
 
     def relabelled(self, perm: tuple[int, ...]) -> "SmallGraph":
         """Image under the permutation sending vertex v to perm[v]."""
-        mask = 0
-        for j in range(self.n):
-            for i in range(j):
-                if self.mask >> _pair_index(i, j) & 1:
-                    mask |= 1 << _pair_index(perm[i], perm[j])
-        return SmallGraph(self.n, mask)
-
-    def canonical_code(self) -> "CanonicalCode":
-        return CanonicalCode(self.n, _min_code(self.n, self.mask))
+        inverse = sorted(range(self.n), key=perm.__getitem__)  # vertex perm[v] was v
+        return SmallGraph(self.n, _induced_mask(self.rows(), inverse))
 
     def canonical_form(self) -> "SmallGraph":
         return SmallGraph(self.n, _reversed(_min_code(self.n, self.mask), self.pair_count))
@@ -192,23 +171,6 @@ class SmallGraph(_Ordered):
         return emit_paircode(self)
 
 
-class CanonicalCode(_Ordered):
-    """Minimal column-major adjacency bit string, packed first-bit-highest.
-
-    Two graphs are isomorphic iff their codes compare equal.  Codes of
-    equal order compare lexicographically (== numerically).
-    """
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-
-    def _key(self) -> tuple[int, int]:
-        return (self.n, self.bits)
-
-
 # Cache bounds, each at least twice what the four bundled certificates use
 # together (488 codes and 6 listings, goldens included).
 CODE_CACHE_SIZE = 1024
@@ -216,6 +178,7 @@ LISTING_CACHE_SIZE = 16
 
 
 def _rows(n: int, mask: int) -> tuple[int, ...]:
+    """Adjacency rows of a mask: bit j of row i is the pair (i, j)."""
     rows = [0] * n
     for j in range(n):
         for i in range(j):
@@ -223,6 +186,22 @@ def _rows(n: int, mask: int) -> tuple[int, ...]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return tuple(rows)
+
+
+def _induced_mask(rows, vertices) -> int:
+    """The mask whose vertex b is ``vertices[b]`` of the graph with ``rows``.
+
+    Distinct vertices give an induced subgraph or a relabelling; a vertex
+    listed more than once gives a blowup, its copies pairwise non-adjacent.
+    """
+    mask = 0
+    for b in range(1, len(vertices)):
+        base = b * (b - 1) // 2
+        rv = rows[vertices[b]]
+        for a in range(b):
+            if rv >> vertices[a] & 1:
+                mask |= 1 << base + a
+    return mask
 
 
 def _min_code(n: int, mask: int, fixed: int = 0) -> int:
@@ -389,17 +368,6 @@ _enumerate_unchecked = enumerate_graphs
 # induced counting
 
 
-def _induced_mask(rows: tuple[int, ...], vertices: tuple[int, ...]) -> int:
-    mask = 0
-    for b in range(1, len(vertices)):
-        base = b * (b - 1) // 2
-        rv = rows[vertices[b]]
-        for a in range(b):
-            if rv >> vertices[a] & 1:
-                mask |= 1 << base + a
-    return mask
-
-
 def _embedding_count(h: SmallGraph, rows: tuple[int, ...]) -> int:
     """Induced embeddings of h into the graph with adjacency ``rows``.
 
@@ -458,23 +426,14 @@ def automorphism_count(g: SmallGraph) -> int:
 
 def union(g: SmallGraph, h: SmallGraph) -> SmallGraph:
     """Disjoint union."""
-    n = g.n + h.n
-    mask = g.mask
-    for j in range(h.n):
-        for i in range(j):
-            if h.mask >> _pair_index(i, j) & 1:
-                mask |= 1 << _pair_index(g.n + i, g.n + j)
-    return SmallGraph(n, mask)
+    rows = g.rows() + tuple(r << g.n for r in h.rows())
+    return SmallGraph(len(rows), _induced_mask(rows, range(len(rows))))
 
 
 def join(g: SmallGraph, h: SmallGraph) -> SmallGraph:
     """Disjoint union plus all edges across."""
-    out = union(g, h)
-    mask = out.mask
-    for i in range(g.n):
-        for j in range(g.n, out.n):
-            mask |= 1 << _pair_index(i, j)
-    return SmallGraph(out.n, mask)
+    # the complement of a join is the disjoint union of the complements
+    return union(g.complement(), h.complement()).complement()
 
 
 def complete(n: int) -> SmallGraph:
@@ -486,16 +445,12 @@ def empty(n: int) -> SmallGraph:
 
 
 def turan(k: int, n: int) -> SmallGraph:
-    """Complete k-partite graph on n vertices with near-equal parts."""
+    """Complete k-partite graph on n vertices: vertex i lies in part i % k."""
     if k < 1:
         raise ValueError("turan needs k >= 1")
-    check_order(n)  # before the loop, whose work grows as n^4
-    mask = 0
-    for j in range(n):
-        for i in range(j):
-            if i % k != j % k:
-                mask |= 1 << _pair_index(i, j)
-    return SmallGraph(n, mask)
+    check_order(n)  # before building, whose work grows as n^2
+    # vertex i is a copy of vertex i % k of the complete graph on the parts used
+    return SmallGraph(n, _induced_mask(complete(min(k, n)).rows(), [i % k for i in range(n)]))
 
 
 def blowup_graph(base: SmallGraph, sizes: tuple[int, ...]) -> SmallGraph:
@@ -503,15 +458,9 @@ def blowup_graph(base: SmallGraph, sizes: tuple[int, ...]) -> SmallGraph:
     if len(sizes) != base.n or any(s < 0 for s in sizes):
         raise ValueError("sizes must list one nonnegative count per base vertex")
     n = sum(sizes)
-    check_order(n)  # before the loop, whose work grows as n^4
+    check_order(n)  # before building, whose work grows as n^2
     owner = [v for v, s in enumerate(sizes) for _ in range(s)]
-    rows = base.rows()
-    mask = 0
-    for j in range(n):
-        for i in range(j):
-            if owner[i] != owner[j] and rows[owner[i]] >> owner[j] & 1:
-                mask |= 1 << _pair_index(i, j)
-    return SmallGraph(n, mask)
+    return SmallGraph(n, _induced_mask(base.rows(), owner))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagcert import graphs
+from flagcert.flags import MAX_BASIS_ORDER
 from flagcert.graphs import (
     SmallGraph,
     _is_canonical,
@@ -142,10 +143,12 @@ def test_column_bound_skips_only_non_canonical_children():
 
 
 def test_enumeration_is_canonical_and_sorted():
-    for n in (3, 4, 5):
+    # certificates name listed classes by their own pair codes: every
+    # listing up to the largest basis order yields canonical forms
+    for n in range(1, MAX_BASIS_ORDER + 1):
         graphs = enumerate_graphs(n)
         assert all(g == g.canonical_form() for g in graphs)
-        bits = [g.canonical_code().bits for g in graphs]
+        bits = [mask_to_code_bits(g.n, g.mask) for g in graphs]
         assert bits == sorted(bits)
 
 
@@ -327,6 +330,65 @@ def test_blowup_graph():
         empty(2), empty(3)
     ).canonical_form()
     assert blowup_graph(complete(3), (2, 2, 2)).canonical_form() == turan(3, 6).canonical_form()
+
+
+def _labelled_graphs(max_n: int):
+    """Every labelled graph of order 1..max_n."""
+    return [
+        SmallGraph(n, mask)
+        for n in range(1, max_n + 1)
+        for mask in range(1 << n * (n - 1) // 2)
+    ]
+
+
+def _adjacency(g: SmallGraph) -> dict[tuple[int, int], bool]:
+    """Each pair i < j of g, read through ``adjacent`` only."""
+    return {(i, j): g.adjacent(i, j) for j in range(g.n) for i in range(j)}
+
+
+@given(small_graphs(7), st.data())
+def test_relabelled_and_edges_follow_adjacent(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    image = g.relabelled(perm)
+    assert image.n == g.n
+    assert all(
+        image.adjacent(perm[i], perm[j]) == edge for (i, j), edge in _adjacency(g).items()
+    )
+    assert g.edges() == [(i, j) for j in range(g.n) for i in range(j) if g.adjacent(i, j)]
+
+
+def test_builders_follow_their_pairwise_definitions():
+    # every builder against its definition, read through ``adjacent`` only;
+    # ``relabelled`` is the reference of ``_brute_min_code``
+    small = _labelled_graphs(4)
+    for g in small:
+        for h in small:
+            n = g.n + h.n
+            for build, across in ((union, False), (join, True)):
+                out = build(g, h)
+                assert out.n == n
+                for (i, j), edge in _adjacency(out).items():
+                    if j < g.n:
+                        assert edge == g.adjacent(i, j)
+                    elif i >= g.n:
+                        assert edge == h.adjacent(i - g.n, j - g.n)
+                    else:
+                        assert edge == across
+    for k in range(1, 11):
+        for n in range(1, graphs.MAX_ORDER + 1):
+            t = turan(k, n)
+            assert _adjacency(t) == {pair: pair[0] % k != pair[1] % k for pair in _adjacency(t)}
+    for base in _labelled_graphs(4):
+        for sizes in itertools.product(range(3), repeat=base.n):
+            if not 1 <= sum(sizes) <= graphs.MAX_ORDER:
+                continue
+            owner = [v for v, s in enumerate(sizes) for _ in range(s)]
+            out = blowup_graph(base, sizes)
+            assert out.n == len(owner)
+            assert all(
+                edge == (owner[i] != owner[j] and base.adjacent(owner[i], owner[j]))
+                for (i, j), edge in _adjacency(out).items()
+            )
 
 
 def test_compositions_refuse_orders_through_the_one_guard():

@@ -43,8 +43,9 @@ def test_no_module_imports_a_process_pool():
     assert pools == []
 
 
-def _loaded_after_cli_import(names) -> list[str]:
-    """Those of ``names`` a fresh interpreter holds after ``import flagcert.cli``."""
+def _loaded_after_cli_import(names, *options) -> list[str]:
+    """Those of ``names`` a fresh interpreter, started with the interpreter
+    ``options``, holds after ``import flagcert.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
@@ -54,7 +55,7 @@ def _loaded_after_cli_import(names) -> list[str]:
         f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *options, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout)
@@ -69,6 +70,12 @@ def test_cli_import_builds_no_dataclass():
     # every command is a fresh process: building a dataclass compiles its
     # methods at import, and the module pulls in inspect
     assert _loaded_after_cli_import(("dataclasses", "inspect")) == []
+
+
+def test_cli_import_leaves_importlib_resources_out():
+    # -S: no site hook (a .pth file, say) loads the module first; only a
+    # command that reads a bundled file needs it, and it pulls in tempfile
+    assert _loaded_after_cli_import(("importlib.resources", "tempfile"), "-S") == []
 
 
 def test_only_graphs_reaches_the_canonicity_search():

@@ -20,7 +20,7 @@ from flagcert.certificates import (
 from flagcert.constructions import BlowupModel, ProfilePoint, QuadExt
 from flagcert.exactmath import PSDResult, RootBracket, SymMatrix
 from flagcert.flags import Flag
-from flagcert.graphs import CanonicalCode, SmallGraph, complete, empty
+from flagcert.graphs import SmallGraph, complete, empty
 from flagcert.oracle import (
     DegreeLocalData,
     IdentityCheckReport,
@@ -35,7 +35,6 @@ HALF = Fraction(1, 2)
 # (class, keyword arguments of one valid instance), one row per value type
 VALUES = [
     (SmallGraph, dict(n=3, mask=5)),
-    (CanonicalCode, dict(n=3, bits=6)),
     (RootBracket, dict(lower=Fraction(1), upper=Fraction(2))),
     (SymMatrix, dict(entries=((Fraction(1),),))),
     (PSDResult, dict(psd=False, perm=None, lower=None, diag=None, witness=(1,))),
@@ -129,35 +128,29 @@ def test_defaults():
 
 
 def test_graph_values_equal_only_their_own_class():
-    g, code, flag = SmallGraph(3, 5), CanonicalCode(3, 5), Flag(SmallGraph(3, 5), 0)
+    g, flag = SmallGraph(3, 5), Flag(SmallGraph(3, 5), 0)
     assert g == SmallGraph(3, 5) and hash(g) == hash(SmallGraph(3, 5))
-    assert code == CanonicalCode(3, 5) and hash(code) == hash(CanonicalCode(3, 5))
     assert flag == Flag(SmallGraph(3, 5), 0) and hash(flag) == hash(Flag(SmallGraph(3, 5), 0))
     assert g != SmallGraph(3, 6) and g != SmallGraph(4, 5)
     assert flag != Flag(SmallGraph(3, 5), 1) and flag != Flag(SmallGraph(3, 6), 0)
-    assert g != code and code != g
-    assert g != (3, 5) and code != (3, 5) and flag != (g, 0)
-    assert len({g, code, flag, (3, 5)}) == 4
+    assert g != (3, 5) and flag != (g, 0)
+    assert len({g, flag, (3, 5)}) == 3
     assert {SmallGraph(3, m) for m in (5, 5, 6)} == {SmallGraph(3, 5), SmallGraph(3, 6)}
 
 
 def test_graphs_and_codes_order_by_their_fields():
     graphs = [SmallGraph(4, 1), SmallGraph(3, 7), SmallGraph(3, 0), SmallGraph(4, 0)]
     assert [(g.n, g.mask) for g in sorted(graphs)] == [(3, 0), (3, 7), (4, 0), (4, 1)]
-    codes = [CanonicalCode(4, 0), CanonicalCode(3, 7), CanonicalCode(3, 1)]
-    assert [(c.n, c.bits) for c in sorted(codes)] == [(3, 1), (3, 7), (4, 0)]
     a, b = SmallGraph(3, 1), SmallGraph(3, 2)
     assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
     assert not (b < a or a > b)
-    with pytest.raises(TypeError):
-        SmallGraph(3, 1) < CanonicalCode(3, 2)
     with pytest.raises(TypeError):
         SmallGraph(3, 1) < (3, 2)
     with pytest.raises(TypeError):
         Flag(a, 0) < Flag(b, 0)
 
 
-@pytest.mark.parametrize("cls", [SmallGraph, CanonicalCode, Flag, BlowupModel, DegreeLocalData])
+@pytest.mark.parametrize("cls", [SmallGraph, Flag, BlowupModel, DegreeLocalData])
 def test_validated_values_copy_and_pickle(cls):
     value = cls(**dict(VALUES)[cls])
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
@@ -166,7 +159,6 @@ def test_validated_values_copy_and_pickle(cls):
 
 def test_graph_values_repr_names_their_fields():
     assert repr(SmallGraph(3, 5)) == "SmallGraph(n=3, mask=5)"
-    assert repr(CanonicalCode(3, 6)) == "CanonicalCode(n=3, bits=6)"
     assert repr(Flag(SmallGraph(2, 1), 1)) == "Flag(graph=SmallGraph(n=2, mask=1), labels=1)"
 
 
