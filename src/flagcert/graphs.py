@@ -17,14 +17,12 @@ type columns of ``flags._count_table`` and the bit-string slices of
 
 The canonical code is the lexicographically minimal column-major bit
 string over all vertex orderings (a flag's labelled vertices pinned).
-One bitset branch and bound, ``_search``, serves both the minimal code
-and the canonicity test: it follows only placements whose columns equal
-a list of best columns, which the minimal code lowers as it goes and the
-canonicity test fixes to the identity columns, stopping at the first
-smaller one.  Twins (swapping them is an automorphism) are explored
-once, which keeps highly symmetric graphs cheap.  One cache, keyed by
-edge mask, holds the codes: ``_min_code_cached(n, mask, fixed)``.
-Every cache here is bounded.  A class is named by one graph, its
+One bitset branch and bound, ``_search``, computes it: it follows only
+placements whose columns equal a list of best columns, which it lowers
+as it goes.  Twins (swapping them is an automorphism) are explored once,
+which keeps highly symmetric graphs cheap.  One cache, keyed by edge
+mask, holds the codes: ``_min_code_cached(n, mask, fixed)``.  Every
+cache here is bounded.  A class is named by one graph, its
 ``canonical_form()``, whose mask is the minimal code reversed; there is
 no separate code type.
 
@@ -32,8 +30,12 @@ Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
 1978).  A prefix of a minimal code is the minimal code of the subgraph it
 describes, so the classes of order l are the canonical forms of order
 l-1 plus one new column, kept when the identity order is already
-minimal (``_canonical_children``, which the oracle also calls).  The
-column loop starts at twice the identity column of the parent's last
+minimal.  The one child step, ``_canonical_children`` (the oracle calls
+it too), tests all candidate columns of a parent in one walk of the
+parent's tie tree, carrying the undecided columns as one integer (bit c:
+the child with column c) and splitting it with ``_column_sets``, the
+columns that contain each parent vertex; it computes no minimal code.
+The column loop starts at twice the identity column of the parent's last
 vertex (when that vertex is not pinned): swapping the new vertex with
 it turns the new column c into c >> 1, so every lower column is
 non-canonical.  Flag bases (labelled vertices pinned) come from the
@@ -213,48 +215,40 @@ def _min_code(n: int, mask: int, fixed: int = 0) -> int:
 def _min_code_cached(n: int, mask: int, fixed: int) -> int:
     rows = _rows(n, mask)
     best = list(rows[:fixed]) + [-1] * (n - fixed)
-    _search(rows, fixed, best, False)
+    _search(rows, fixed, best)
     # column d of the minimal order is the mask's column d (-1: all ones)
     mask = sum((col & (1 << d) - 1) << d * (d - 1) // 2 for d, col in enumerate(best))
     return _reversed(mask, n * (n - 1) // 2)
 
 
-def _is_canonical(rows: tuple[int, ...], fixed: int) -> bool:
-    """True when the identity order gives the minimal code (0..fixed-1 pinned)."""
-    return not _search(rows, fixed, rows, True)
-
-
-def _search(rows: tuple[int, ...], fixed: int, best, stop: bool) -> bool:
-    """Branch and bound over placements whose columns so far equal ``best``.
+def _search(rows: tuple[int, ...], fixed: int, best: list[int]) -> None:
+    """Branch and bound that lowers ``best`` in place to the minimal code's columns.
 
     ``best[d]`` is the column of depth d as a mask over placement slots:
     bit i is adjacency to the i-th placed vertex, and -1 stands for the
     largest column.  Vertices 0..fixed-1 are placed first, in order.  At
     depth d, O(d) mask operations split the free vertices into those whose
-    column still equals ``best[d]`` and those already smaller.  With
-    ``stop``, returns True at the first smaller column; otherwise lowers
-    ``best`` in place to the minimal code's columns and returns False.
+    column still equals ``best[d]`` and those already smaller, which lower
+    it; only placements whose columns so far equal ``best`` are followed.
     """
     n = len(rows)
     placed = [rows[u] for u in range(fixed)]  # rows of the placed vertices, in order
 
-    def descend(free: int, d: int) -> bool:
+    def descend(free: int, d: int) -> None:
         target = best[d]
         eq = free
         for nbrs in placed:
             if target & 1:
                 if eq & ~nbrs:
-                    if stop:
-                        return True
                     eq = _lower(best, d, free, placed)
                     break
             else:
                 eq &= ~nbrs
                 if not eq:
-                    return False
+                    return
             target >>= 1
         if d + 1 == n:
-            return False
+            return
         chosen: list[int] = []
         while eq:
             bit = eq & -eq
@@ -268,12 +262,11 @@ def _search(rows: tuple[int, ...], fixed: int, best, stop: bool) -> bool:
             else:
                 chosen.append(v)
                 placed.append(rv)
-                if descend(free ^ bit, d + 1):
-                    return True
+                descend(free ^ bit, d + 1)
                 placed.pop()
-        return False
 
-    return fixed < n and descend((1 << n) - (1 << fixed), fixed)
+    if fixed < n:
+        descend((1 << n) - (1 << fixed), fixed)
 
 
 def _lower(best: list[int], d: int, free: int, placed: list[int]) -> int:
@@ -323,19 +316,153 @@ def _enumerate(l: int, fixed: int, fixed_mask: int) -> tuple[SmallGraph, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=MAX_ORDER)
+def _column_sets(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per parent vertex v < m, the set of new columns containing v; per column, its neighbours.
+
+    A set of columns is an integer whose bit c stands for the column c
+    (vertex 0 highest); a neighbour mask has vertex 0 lowest.
+    """
+    nbrs = tuple(_reversed(col, m) for col in range(1 << m))
+    sets = tuple(sum(1 << c for c, row in enumerate(nbrs) if row >> v & 1) for v in range(m))
+    return sets, nbrs
+
+
 def _canonical_children(m: int, mask: int, columns, fixed: int = 0):
-    """Yield the masks of the canonical children of the order-m form ``mask``.
+    """Yield the masks of the canonical children of the order-m canonical form ``mask``.
 
     The one child step of orderly generation: a child adds vertex m with
-    one of ``columns`` (vertex 0 highest), in their order, and is kept when
-    the identity order gives its minimal code, vertices 0..fixed-1 pinned.
+    one of ``columns`` (vertex 0 highest), and is kept when the identity
+    order gives its minimal code, vertices 0..fixed-1 pinned.  Kept
+    children come in increasing column order.
+
+    One walk of the parent's tie tree tests every column: the columns still
+    undecided travel down it as one set.  While only parent vertices are
+    placed, a parent vertex ties or loses the same way in every child (the
+    parent is canonical), so vertex bitsets filter them, and vertex m's
+    column is split per column set into smaller (rejected) and tied (a
+    branch with m placed).  With m at slot j, only bit j of a parent
+    vertex v's column depends on the child: it is ``sets[v]``.  At depth m
+    the last column is compared with the child's own, on column sets.  An
+    explored twin u prunes v only for the columns that put u and v on the
+    same side.
     """
+    sets, nbrs_of = _column_sets(m)
     prows = _rows(m, mask)
-    for col in columns:
-        nbrs = _reversed(col, m)  # the column's neighbour mask, vertex 0 lowest
-        rows = tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows)) + (nbrs,)
-        if _is_canonical(rows, fixed):
-            yield mask | nbrs << m * (m - 1) // 2
+    alive = sum(map((1).__lshift__, columns))
+    order = list(range(fixed))  # the placed vertices by slot; m is the new vertex
+
+    def close(cols: int, cands: list[int]) -> None:
+        # depth m, slot i: the columns where the last free vertex is adjacent
+        # to order[i], against those where vertex m is adjacent to vertex i
+        nonlocal alive
+        for target, cand in zip(sets, cands):
+            alive &= ~(cols & target & ~cand)
+            cols &= ~(target ^ cand)
+            if not cols:
+                return
+
+    def explore(free: int, eq: int, cols: int, side: int | None, d: int, j: int) -> None:
+        # place each tied parent vertex v at slot d, for its columns: all of
+        # them (side None), or those with v (side 0) or without it (side -1)
+        chosen: list[tuple[int, int]] = []
+        while eq:
+            bit = eq & -eq
+            eq ^= bit
+            v = bit.bit_length() - 1
+            vcols = cols & alive if side is None else cols & alive & (sets[v] ^ side)
+            rv = prows[v]
+            for u, ucols in chosen:
+                if not (prows[u] ^ rv) & ~(1 << u | bit):
+                    vcols &= ~ucols | sets[u] ^ sets[v]
+            if vcols:
+                chosen.append((v, vcols))
+                order.append(v)
+                if j < 0:
+                    parents_only(free ^ bit, d + 1, vcols)
+                else:
+                    with_new(free ^ bit, d + 1, vcols, j)
+                order.pop()
+
+    def parents_only(free: int, d: int, cols: int) -> None:
+        # slots 0..d-1 hold parent vertices; ``free`` holds the other parent
+        # vertices, and vertex m is free too
+        nonlocal alive
+        if d == m:
+            close(cols, [sets[p] for p in order])
+            return
+        target = prows[d]
+        eq, tie = free, cols
+        for p in order:
+            if target & 1:
+                eq &= prows[p]
+                alive &= ~(tie & ~sets[p])  # vertex m's column is smaller
+                tie &= sets[p]
+            else:
+                eq &= ~prows[p]
+                tie &= ~sets[p]
+            target >>= 1
+        if eq:
+            explore(free, eq, cols, None, d, -1)
+        tie &= alive
+        if tie:
+            order.append(m)
+            with_new(free, d + 1, tie, d)
+            order.pop()
+
+    def with_new(free: int, d: int, cols: int, j: int) -> None:
+        # vertex m sits at slot j < d; ``free`` holds parent vertices only
+        nonlocal alive
+        if d == m:
+            v = free.bit_length() - 1
+            rv = prows[v]
+            close(cols, [sets[v] if p == m else -(rv >> p & 1) for p in order])
+            return
+        target = prows[d]
+        eq = free
+        for i in range(j):
+            nbrs = prows[order[i]]
+            if target >> i & 1:
+                if eq & ~nbrs:
+                    alive &= ~cols  # a parent vertex's column is smaller
+                    return
+            else:
+                eq &= ~nbrs
+                if not eq:
+                    return
+        # after slot j, vertex bitsets split the ties from the smaller ones
+        tie, less = eq, 0
+        for i in range(j + 1, d):
+            nbrs = prows[order[i]]
+            if target >> i & 1:
+                less |= tie & ~nbrs
+                tie &= nbrs
+            else:
+                tie &= ~nbrs
+        if target >> j & 1:
+            if less:  # smaller at slot j outside the column, and after it inside
+                alive &= ~cols
+                return
+            while eq:  # a vertex outside the column is smaller at slot j
+                bit = eq & -eq
+                eq ^= bit
+                alive &= ~(cols & ~sets[bit.bit_length() - 1])
+            side = 0
+        else:
+            while less:  # outside the column, ties at slot j and is smaller after it
+                bit = less & -less
+                less ^= bit
+                alive &= ~(cols & ~sets[bit.bit_length() - 1])
+            side = -1
+        if tie:
+            explore(free, tie, cols, side, d, j)
+
+    parents_only((1 << m) - (1 << fixed), fixed, alive)
+    shift = m * (m - 1) // 2
+    while alive:
+        bit = alive & -alive
+        alive ^= bit
+        yield mask | nbrs_of[bit.bit_length() - 1] << shift
 
 
 def _start_column(m: int, mask: int) -> int:
@@ -354,7 +481,7 @@ def enumerate_graphs(l: int) -> tuple[SmallGraph, ...]:
     """All isomorphism classes of order ``l`` (1..9), sorted by canonical code.
 
     Counts for l = 1..9: 1, 2, 4, 11, 34, 156, 1044, 12346, 274668 (OEIS
-    A000088).  Order 8 takes seconds and order 9 minutes.
+    A000088).  Order 8 takes under a second and order 9 about ten seconds.
     """
     check_order(l)
     return _enumerate(l, 0, 0)

@@ -1,10 +1,12 @@
 """Command-line behavior: output shapes, trailers, exit codes, determinism."""
 
+import functools
 import hashlib
 import io
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from flagcert import graphs
 from flagcert.cli import main
 from flagcert.graphs import emit_paircode, to_graph6, turan
 
@@ -69,6 +72,18 @@ def test_enumerate_order8_graph6_is_frozen(capsys):
     assert (
         hashlib.sha256(classes.encode()).hexdigest()
         == "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867"
+    )
+
+
+def test_enumerate_order9_is_frozen(capsys):
+    # digest of the whole stdout, recorded before one walk of each parent's
+    # tie tree replaced a canonicity test per candidate column
+    code, out, _ = run(capsys, "enumerate", "--order", "9")
+    graphs._enumerate.cache_clear()  # the order-9 listing holds about 40 MB
+    assert code == 0 and out.endswith("\ncount=274668\n")
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "ffa04b93e33829315c67ff421f09a3c33b6a9070ef1c8ace46f648894169b5a7"
     )
 
 
@@ -267,6 +282,42 @@ def test_malformed_or_mismatched_golden_exits_two(cert, golden, stdin, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+# the listing and the oracle's pass 2 keep sets of columns as integers of
+# up to 2**8 bits: every supported interpreter must print the same bytes
+INTERPRETER_COMMANDS = [
+    ("enumerate", "--order", "8", "--graph6"),
+    ("oracle", "--h", K221_CODE, "--n", "8"),
+]
+
+
+def _cli_stdout(python, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [python, "-m", "flagcert.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@functools.cache
+def _running_interpreter_stdout(argv):
+    return _cli_stdout(sys.executable, argv)
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
+def test_interpreters_print_the_same_bytes(name):
+    path = shutil.which(name)
+    # a version manager's shim can be on PATH with no interpreter behind it
+    if path is None or subprocess.run([path, "-c", ""], capture_output=True, timeout=60).returncode:
+        pytest.skip(f"{name} is not on PATH")
+    for argv in INTERPRETER_COMMANDS:
+        assert _cli_stdout(path, argv) == _running_interpreter_stdout(argv), argv
 
 
 # ---------------------------------------------------------------------------

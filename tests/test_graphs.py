@@ -1,5 +1,6 @@
 """Graph layer: encodings, canonical forms, counting, compositions."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -7,15 +8,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcert import graphs
 from flagcert.flags import MAX_BASIS_ORDER
 from flagcert.graphs import (
     SmallGraph,
-    _is_canonical,
+    _canonical_children,
     _min_code,
+    _min_code_cached,
     _reversed,
     _rows,
     automorphism_count,
@@ -120,32 +122,59 @@ def test_enumeration_keeps_candidates_out_of_caches():
 
 def test_column_bound_skips_only_non_canonical_children():
     # a child whose new column is below twice the identity column of vertex
-    # m-1 gets a smaller code by swapping the two, so every such candidate
-    # must fail the canonicity test the generator no longer runs on it
+    # m-1 gets a smaller code by swapping the two, so the child step must
+    # reject every such column the generator no longer hands it
     checked = 0
     for fixed in range(4):
         for type_mask in range(1 << fixed * (fixed - 1) // 2):
             for m in range(fixed + 1, 7):  # vertex m-1 is not pinned
-                # the column lists vertex 0 first, the mask has it lowest
-                nbrs_of = [
-                    sum(1 << i for i in range(m) if col >> (m - 1 - i) & 1)
-                    for col in range(1 << m)
-                ]
                 for g in graphs._enumerate(m, fixed, type_mask):
                     prev_col = mask_to_code_bits(m, g.mask) & (1 << m - 1) - 1
-                    prows = g.rows()
-                    for col in range(prev_col << 1):
-                        nbrs = nbrs_of[col]
-                        rows = tuple(r | (nbrs >> u & 1) << m for u, r in enumerate(prows))
-                        assert not _is_canonical(rows + (nbrs,), fixed)
-                        checked += 1
+                    below = range(prev_col << 1)
+                    assert list(_canonical_children(m, g.mask, below, fixed)) == []
+                    checked += len(below)
     assert checked == 450650
+
+
+@functools.cache
+def _type_parents():
+    """(m, fixed, type mask, parent mask) of every listed form, m <= 6, fixed <= 3."""
+    return tuple(
+        (m, fixed, type_mask, g.mask)
+        for fixed in range(4)
+        for type_mask in range(1 << fixed * (fixed - 1) // 2)
+        for m in range(max(fixed, 1), 7)
+        for g in graphs._enumerate(m, fixed, type_mask)
+    )
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_child_step_matches_minimal_codes(data):
+    # the child step against one minimal code per column: a child is kept
+    # exactly when the identity order gives its minimal code; the columns
+    # come all at once, as the listing passes them, or as an increasing
+    # subset, as the oracle's pass 2 does, below the start column included
+    m, fixed, _, mask = data.draw(st.sampled_from(_type_parents()))
+    if data.draw(st.booleans()):
+        columns = range(1 << m)
+    else:
+        columns = sorted(data.draw(st.sets(st.integers(0, (1 << m) - 1))))
+    children = [mask | _reversed(col, m) << m * (m - 1) // 2 for col in columns]
+    expect = [
+        child
+        for child in children
+        if _min_code_cached(m + 1, child, fixed) == mask_to_code_bits(m + 1, child)
+    ]
+    assert list(_canonical_children(m, mask, columns, fixed)) == expect
 
 
 def test_enumeration_is_canonical_and_sorted():
     # certificates name listed classes by their own pair codes: every
-    # listing up to the largest basis order yields canonical forms
-    for n in range(1, MAX_BASIS_ORDER + 1):
+    # listing up to the largest basis order yields canonical forms; the
+    # listing computes no minimal code, so up to order 7 this checks its
+    # child step against the minimisation
+    for n in range(1, max(MAX_BASIS_ORDER, 7) + 1):
         graphs = enumerate_graphs(n)
         assert all(g == g.canonical_form() for g in graphs)
         bits = [mask_to_code_bits(g.n, g.mask) for g in graphs]
@@ -171,16 +200,6 @@ def test_canonical_form_is_permutation_invariant():
         for _ in range(50):
             perm = tuple(rng.sample(range(5), 5))
             assert g.relabelled(perm).canonical_form() == canon
-
-
-@given(small_graphs(7), st.integers(0, 7), st.booleans())
-def test_canonicity_test_matches_minimisation(g, fixed, canonize):
-    fixed = min(fixed, g.n)
-    mask = g.mask
-    if canonize:  # canonical forms are rare among random masks
-        mask = _reversed(_min_code(g.n, mask, fixed), g.pair_count)
-    expect = _min_code(g.n, mask, fixed) == mask_to_code_bits(g.n, mask)
-    assert _is_canonical(_rows(g.n, mask), fixed) == expect
 
 
 def _brute_min_code(n: int, mask: int, fixed: int) -> int:

@@ -79,9 +79,9 @@ def test_cli_import_leaves_importlib_resources_out():
 
 
 def test_only_graphs_reaches_the_canonicity_search():
-    # one child step: a second orderly-generation loop elsewhere would
-    # need the canonicity test or the search behind it
-    names = {"_is_canonical", "_search"}
+    # one child step, graphs._canonical_children: a second orderly-generation
+    # loop elsewhere would need the minimal-code search or the column sets
+    names = {"_search", "_column_sets"}
     found = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "graphs.py":

@@ -327,10 +327,11 @@ def test_search_guards():
 
 
 def test_oracle_counts_without_canonical_codes(monkeypatch):
-    # the oracle's counts must not share the canonical-code search with the
-    # flag tables: with it cut off, the counts and pass 1's maxima per edge
-    # count are unchanged (pass 2 names the maximizers with that search)
-    graphs.enumerate_graphs(5)  # the parent listing does use it
+    # the oracle must not share the canonical-code search with the flag
+    # tables: with that search and its cache cut off, the counts, pass 1's
+    # maxima per edge count and the whole table are unchanged (the listing
+    # and pass 2 test canonicity by their own walk of each parent)
+    graphs._enumerate.cache_clear()
     graphs.automorphism_count.cache_clear()
 
     def cut(*args):
@@ -345,7 +346,7 @@ def test_oracle_counts_without_canonical_codes(monkeypatch):
         assert graphs.induced_density(complete(2), t36) == Fraction(4, 5)
         best, _ = _column_counts(K221, 6, None)
         assert best == [0] * 8 + [1, 1, 1, 3, 6, 2, 0, 0]
-    rows = "\n".join(r.csv_row() for r in max_density_table(K221, 6))
+        rows = "\n".join(r.csv_row() for r in max_density_table(K221, 6))
     assert (
         hashlib.sha256(rows.encode()).hexdigest()
         == "5312f0d73036a2662b178f2e213c96164cffd84a250c8acd9781ef3fe5273dc7"
