@@ -19,7 +19,6 @@ from flagcert.graphs import (
     _min_code,
     _min_code_cached,
     _reversed,
-    _rows,
     automorphism_count,
     blowup_graph,
     complete,
