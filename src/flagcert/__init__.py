@@ -23,6 +23,7 @@ from .certificates import (
     load_certificate,
     load_golden,
     parse_certificate,
+    parse_golden,
     verify_certificate,
     verify_density_certificate,
     verify_parametric_certificate,
@@ -128,6 +129,7 @@ __all__ = [
     "model_value",
     "nonneg_on_ray",
     "parse_certificate",
+    "parse_golden",
     "parse_graph",
     "parse_paircode",
     "piece_model",

@@ -52,6 +52,18 @@ matrix block may declare ``psd-condition`` (a polynomial P) together
 with ``psd-condition-factor`` (a positive quotient q with det M = q * P)
 as an optional cross-check: the verifier checks the identity, the sign
 of q and P >= 0 on the ray, and reports P's largest root.
+
+``verify_certificate`` returns a ``VerificationReport``, a plain record:
+the verdict, the scaled coefficient (numeric kind) or deficit polynomial
+(parametric kind) of each class, the zero set, the largest psd-condition
+root, failures and notes.  ``compare_with_golden`` isolates the largest
+root of a deficit for each polynomial row it compares; a verify without
+a golden isolates none.
+
+Input: ``load_certificate`` and ``load_golden`` read an existing path,
+else a bundled file named with no directory part, and otherwise raise
+FileNotFoundError.  Document text goes to ``parse_certificate`` or
+``parse_golden``.
 """
 
 from __future__ import annotations
@@ -60,7 +72,6 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from .exactmath import (
     KPolynomial,
@@ -330,6 +341,9 @@ def _parse_certificate(text: str, at: list) -> Certificate:
     if parametric and "alt-bound" in header:
         at[0] = header["alt-bound"][0]
         raise ValueError("alt-bound only applies to numeric kind")
+    if not parametric and "k0" in header:
+        at[0] = header["k0"][0]
+        raise ValueError("k0 only applies to parametric kind")
     alt_bound = poly_value("alt-bound") if "alt-bound" in header else None
     k0 = frac(header_value("k0")) if "k0" in header else None
     if parametric and k0 is None:
@@ -478,20 +492,24 @@ def _bundled(name: str):
 
 
 def load_certificate(source) -> Certificate:
-    """Parse a certificate from a path, a bundled name, or document text."""
+    """Parse the certificate file at ``source``; see ``_read_text``."""
     return parse_certificate(_read_text(source))
 
 
 def _read_text(source) -> str:
+    """The text of an existing file, else of a bundled file named bare.
+
+    A name with a directory part is only ever a path: a missing
+    ``/elsewhere/k3.cert`` is not the bundled ``k3.cert``.
+    """
     text = str(source)
-    if "\n" in text:
-        return text
     if os.path.exists(text):
         with open(text, encoding="utf-8") as f:
             return f.read()
-    res = _bundled(os.path.basename(text))
-    if res.is_file():
-        return res.read_text(encoding="utf-8")
+    if os.path.basename(text) == text:
+        res = _bundled(text)
+        if res.is_file():
+            return res.read_text(encoding="utf-8")
     raise FileNotFoundError(f"{text}: not a file and not a bundled name")
 
 
@@ -537,37 +555,13 @@ class VerificationReport(
         " psd_condition_root failures notes",
     )
 ):
-    """The verdict on one certificate, with the evidence ``lines`` prints.
+    """The verdict on one certificate, with the evidence ``lines`` prints."""
 
-    Instances keep a ``__dict__`` for ``largest_roots``; assignment and
-    deletion still raise AttributeError.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
-
-    @cached_property
-    def largest_roots(self) -> dict | None:
-        """{code: largest real root} of each nonzero deficit that has one.
-
-        None for the numeric kind.  The roots are isolated on first read,
-        since only golden comparisons use them.
-        """
-        if self.k0 is None:
-            return None
-        roots = {}
-        for code, deficit in self.coefficients.items():
-            root = _largest_root(deficit) if deficit else None
-            if root is not None:
-                roots[code] = root
-        return roots
 
     def lines(self) -> list[str]:
         out = [f"certificate: {self.name}", f"kind: {self.kind}"]
@@ -882,13 +876,18 @@ class Golden(
 
 
 def load_golden(source) -> Golden:
-    """Parse a golden table; a malformed row raises ValueError naming its line."""
+    """Parse the golden file at ``source``; see ``_read_text``."""
+    return parse_golden(_read_text(source))
+
+
+def parse_golden(text: str) -> Golden:
+    """Parse golden text; a malformed row raises ValueError naming its line."""
     label = None
     coeff_rows: list[tuple[Fraction, str]] = []
     poly_rows: list[tuple[KPolynomial, str, Fraction]] = []
     zeros: list[str] = []
     profile: list[tuple[str, str]] = []
-    for number, line in _clean_lines(_read_text(source)):
+    for number, line in _clean_lines(text):
         if label is None:
             if not line.startswith("golden:"):
                 raise ValueError(
@@ -970,7 +969,7 @@ def compare_with_golden(report: VerificationReport, golden: Golden) -> list[str]
                     f"reference {poly.pretty()}"
                 )
                 continue
-            my_root = (report.largest_roots or {}).get(code)
+            my_root = _largest_root(mine)
             if my_root is None:
                 problems.append(f"no largest root isolated at {code}")
             elif abs(my_root - root) > ROOT_TOLERANCE:

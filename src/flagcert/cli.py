@@ -21,6 +21,8 @@ from .certificates import (
     compare_with_golden,
     load_certificate,
     load_golden,
+    parse_certificate,
+    parse_golden,
     verify_certificate,
 )
 from .constructions import profile_csv, profile_table
@@ -46,8 +48,9 @@ class UsageError(Exception):
     """Bad arguments or unreadable input; maps to exit status 2."""
 
 
-def _stdin_text() -> str:
-    return sys.stdin.read()
+def _read(source: str, parse, load):
+    """``-`` is document text on standard input, never a file name."""
+    return parse(sys.stdin.read()) if source == "-" else load(source)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +80,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cert == "-" and args.golden == "-":
         raise UsageError("only one of --cert and --golden may read standard input")
-    cert = load_certificate(_stdin_text() if args.cert == "-" else args.cert)
+    cert = _read(args.cert, parse_certificate, load_certificate)
     if args.golden is not None:  # bad input stops before any report line
-        golden = load_golden(_stdin_text() if args.golden == "-" else args.golden)
+        golden = _read(args.golden, parse_golden, load_golden)
         golden.check_certificate(cert)
     report = verify_certificate(cert, k0=args.k0)
     for line in report.lines():
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a certificate file")
     p.add_argument("--cert", required=True, help="certificate path, bundled name, or - for stdin")
     p.add_argument("--k0", type=frac, default=None, help="ray base point for parametric certificates")
-    p.add_argument("--golden", default=None, help="reference table to compare the report against")
+    p.add_argument("--golden", default=None, help="reference table: path, bundled name, or - for stdin")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("profile", help="emit the lower-bound profile curve as CSV")

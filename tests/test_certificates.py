@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import flagcert
 from flagcert import certificates, flags, graphs
 from flagcert.certificates import (
+    _largest_root,
     _psd_failure,
     _ray_problem,
     certificate_expansion,
@@ -22,6 +23,7 @@ from flagcert.certificates import (
     load_certificate,
     load_golden,
     parse_certificate,
+    parse_golden,
     verify_certificate,
     verify_density_certificate,
     verify_parametric_certificate,
@@ -57,7 +59,7 @@ def _bundled_text(name: str) -> str:
 
 def test_load_bundled_by_basename_and_text():
     a = load_certificate("k3.cert")
-    b = load_certificate(_bundled_text("k3.cert"))
+    b = parse_certificate(_bundled_text("k3.cert"))
     assert a == b
     assert a.kind == "numeric"
     assert a.scale == 27 and a.bound == 10 and not a.strict
@@ -66,6 +68,31 @@ def test_load_bundled_by_basename_and_text():
 def test_load_missing_certificate():
     with pytest.raises(FileNotFoundError):
         load_certificate("no-such-file.cert")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        _bundled_text("k3.cert"),  # document text is not a source
+        "k3",
+        "/no-such-dir/k3.cert",  # a directory part makes it a path
+        "no-such-dir/k3.cert",
+        "",
+    ],
+)
+def test_load_reads_only_a_path_or_a_bare_bundled_name(source):
+    with pytest.raises(FileNotFoundError, match="not a bundled name"):
+        load_certificate(source)
+    with pytest.raises(FileNotFoundError, match="not a bundled name"):
+        load_golden(source.replace("k3.cert", "appendixC.golden"))
+
+
+def test_load_reads_an_existing_path_first(tmp_path):
+    path = tmp_path / "k3.cert"  # shadows the bundled name only as a path
+    path.write_text(_bundled_text("k4.cert"))
+    assert load_certificate(path) == load_certificate(str(path))
+    assert load_certificate(path).name == "k4"
+    assert load_certificate("k3.cert").name == "k3"
 
 
 def test_bundled_certificates_parse():
@@ -150,6 +177,7 @@ def test_parse_rejects_malformed():
         ("row: 12 ; 41 ; -94", "row: 13 ; 41 ; -94", 22, "matrix is not symmetric"),
         ("row: 12 ; 41 ; -94", "row: 12 ; 41 ; -94\npsd-condition: [1]", 29, "parametric kind"),
         ("row: -115 ; -94 ; 303\nend", "row: -115 ; -94 ; 303", 22, "unterminated block"),
+        ("strict: no", "strict: no\nk0: 3", 13, "k0 only applies to parametric kind"),
     ],
 )
 def test_parse_errors_name_their_line(old, new, line, message):
@@ -529,14 +557,14 @@ def test_deficit_roots_are_isolated_only_when_read(monkeypatch):
     report = verify_certificate(cert)
     assert calls == [t.psd_condition for t in cert.square_terms if t.psd_condition]
     del calls[:]
-    roots = report.largest_roots
-    nonzero = [p for p in report.coefficients.values() if p]
-    assert calls == nonzero and list(roots) == [
-        c for c, p in report.coefficients.items() if p
-    ]
-    assert report.largest_roots is roots and len(calls) == len(nonzero)
-    numeric = verify_certificate(load_certificate("k4.cert"))
-    assert numeric.largest_roots is None and len(calls) == len(nonzero)
+    golden = load_golden("appendixC.golden")
+    assert compare_with_golden(report, golden) == []
+    assert calls == [poly for poly, _, _ in golden.polynomial_rows]
+    assert len(calls) == 26
+    del calls[:]
+    numeric = verify_certificate(load_certificate("lemma074.cert"))
+    assert compare_with_golden(numeric, load_golden("appendixB.golden")) == []
+    assert calls == []
 
 
 def test_goldens_load():
@@ -595,7 +623,7 @@ def test_golden_detects_root_drift():
 
 def test_golden_requires_label():
     with pytest.raises(ValueError):
-        load_golden("1 | 2 2 2\n")
+        parse_golden("1 | 2 2 2\n")
 
 
 @pytest.mark.parametrize(
@@ -611,7 +639,7 @@ def test_golden_requires_label():
 )
 def test_golden_row_errors_name_their_line(text, line):
     with pytest.raises(ValueError, match=f"^golden line {line}: "):
-        load_golden(text)
+        parse_golden(text)
 
 
 def test_golden_must_fit_the_report_kind():
@@ -968,7 +996,8 @@ REPORT_CORPUS = {
 # followed by "--\n" except the last:
 #     report.lines(), one per line;
 #     "<code> <repr of coefficient>\n" per entry of report.coefficients;
-#     "<code> <root>\n" per entry of report.largest_roots (none if None);
+#     "<code> <root>\n" per nonzero deficit of a parametric report that has
+#     a real root, its largest to within 10^-9;
 #     "; ".join(report.zero_set) + "\n".
 REPORT_DIGESTS = {
     "k3": "ab3f318079a7868ff4c9f2682f060f82eaba6e8f1c166f401cfaed845715af12",
@@ -1009,10 +1038,12 @@ REPORT_DIGESTS = {
 
 
 def _report_text(report) -> str:
+    deficits = report.coefficients.items() if report.k0 is not None else ()
+    roots = ((c, _largest_root(p)) for c, p in deficits if p)
     return (
         "\n".join(report.lines()) + "\n--\n"
         + "".join(f"{c} {v!r}\n" for c, v in report.coefficients.items()) + "--\n"
-        + "".join(f"{c} {v}\n" for c, v in (report.largest_roots or {}).items())
+        + "".join(f"{c} {r}\n" for c, r in roots if r is not None)
         + "--\n" + "; ".join(report.zero_set) + "\n"
     )
 

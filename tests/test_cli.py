@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, trailers, exit codes, determinism."""
 
 import functools
+import glob
 import hashlib
 import io
 import os
@@ -247,6 +248,25 @@ def test_scaling_positivity_lines_in_appendixA_below_the_ray(capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _cli(python, argv, stdin=None):
+    """``python -m flagcert.cli ARGV`` on this tree's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [python, "-m", "flagcert.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def _assert_one_error_line(proc, message):
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "cert, golden, stdin, message",
     [
@@ -269,38 +289,58 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     ],
 )
 def test_malformed_or_mismatched_golden_exits_two(cert, golden, stdin, message):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "flagcert.cli", "verify", "--cert", cert,
-         "--golden", golden],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:") and message in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
+    proc = _cli(sys.executable, ["verify", "--cert", cert, "--golden", golden], stdin)
+    _assert_one_error_line(proc, message)
 
 
-# the listing and the oracle's pass 2 keep sets of columns as integers of
-# up to 2**8 bits: every supported interpreter must print the same bytes
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        # standard input is document text, never a bundled name
+        (
+            ("--cert", "-"), "k3.cert",
+            "certificate line 1: a certificate starts with 'format: flagcert 1'",
+        ),
+        (
+            ("--cert", "appendixA.cert", "--golden", "-"), "appendixC.golden",
+            "golden line 1: golden files start with a 'golden:' label",
+        ),
+        # a name with a directory part is a path, not a bundled file
+        (
+            ("--cert", "/nonexistent/dir/k3.cert"), None,
+            "/nonexistent/dir/k3.cert: not a file and not a bundled name",
+        ),
+        (
+            ("--cert", "k4.cert", "--golden", "/nonexistent/dir/appendixB.golden"), None,
+            "not a file and not a bundled name",
+        ),
+        (
+            ("--cert", "-"), _bundled_text("k4.cert").replace("strict: no", "strict: no\nk0: 3"),
+            "certificate line 13: k0 only applies to parametric kind",
+        ),
+    ],
+)
+def test_verify_input_comes_from_where_it_says(argv, stdin, message):
+    _assert_one_error_line(_cli(sys.executable, ["verify", *argv], stdin), message)
+
+
+# Every supported interpreter must print the same bytes: the listing and
+# the oracle's pass 2 keep sets of columns as integers of up to 2**8 bits,
+# and the verifies, the scan and the profile print exact rationals.
 INTERPRETER_COMMANDS = [
     ("enumerate", "--order", "8", "--graph6"),
     ("oracle", "--h", K221_CODE, "--n", "8"),
+    ("verify", "--cert", "k3.cert"),
+    ("verify", "--cert", "k4.cert"),
+    ("verify", "--cert", "lemma074.cert", "--golden", "appendixB.golden"),
+    ("verify", "--cert", "appendixA.cert", "--golden", "appendixC.golden"),
+    ("scan", "--k", "3,7/2,4,5,10", "--nmax", "60"),
+    ("profile", "--from", "0", "--to", "1", "--step", "1/300"),
 ]
 
 
 def _cli_stdout(python, argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [python, "-m", "flagcert.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _cli(python, argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -310,12 +350,32 @@ def _running_interpreter_stdout(argv):
     return _cli_stdout(sys.executable, argv)
 
 
+def _starts(path):
+    return subprocess.run([path, "-c", ""], capture_output=True, timeout=60).returncode == 0
+
+
+def _interpreter(name):
+    """A ``name`` that starts: from PATH, else installed under pyenv.
+
+    A pyenv shim on PATH fails unless a version is selected, so the
+    versions installed under ``pyenv root`` are tried too.
+    """
+    candidates = [shutil.which(name)]
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        root = subprocess.run(
+            [pyenv, "root"], capture_output=True, text=True, timeout=60
+        ).stdout.strip()
+        pattern = os.path.join(root, "versions", name[len("python"):] + ".*", "bin", name)
+        candidates += sorted(glob.glob(pattern))
+    return next((p for p in candidates if p and _starts(p)), None)
+
+
 @pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
 def test_interpreters_print_the_same_bytes(name):
-    path = shutil.which(name)
-    # a version manager's shim can be on PATH with no interpreter behind it
-    if path is None or subprocess.run([path, "-c", ""], capture_output=True, timeout=60).returncode:
-        pytest.skip(f"{name} is not on PATH")
+    path = _interpreter(name)
+    if path is None:
+        pytest.skip(f"{name} is not installed")
     for argv in INTERPRETER_COMMANDS:
         assert _cli_stdout(path, argv) == _running_interpreter_stdout(argv), argv
 
