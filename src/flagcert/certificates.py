@@ -613,9 +613,7 @@ def verify_certificate(cert: Certificate, k0=None) -> VerificationReport:
     if cert.parametric:
         return verify_parametric_certificate(cert, k0)
     if k0 is not None:
-        raise ValueError(
-            f"k0 applies only to parametric certificates, not {cert.kind!r}"
-        )
+        raise ValueError("k0 only applies to parametric kind")
     return verify_density_certificate(cert)
 
 

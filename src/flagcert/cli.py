@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

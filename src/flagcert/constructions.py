@@ -60,7 +60,7 @@ def rational_sqrt_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction
     return lo, lo + Fraction(1, x.denominator * scale)
 
 
-class QuadExt:
+class QuadExt(_Frozen):
     """Element a + b*sqrt(s) of Q[sqrt(s)], s a squarefree positive int.
 
     Construction accepts any rational radicand and normalizes: perfect
@@ -86,8 +86,8 @@ class QuadExt:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "s", s)
 
-    def __setattr__(self, *args):
-        raise AttributeError("QuadExt is immutable")
+    def _key(self) -> tuple[Fraction, Fraction, int]:
+        return (self.a, self.b, self.s)
 
     @property
     def is_rational(self) -> bool:

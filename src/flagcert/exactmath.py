@@ -53,6 +53,11 @@ class KPolynomial:
     def __setattr__(self, *a):
         raise AttributeError("KPolynomial is immutable")
 
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return KPolynomial, (self.coeffs,)
+
     @staticmethod
     def constant(c) -> "KPolynomial":
         return KPolynomial([frac(c)])
@@ -507,6 +512,11 @@ class RationalFunction:
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return RationalFunction, (self.num, self.den)
 
     @property
     def is_zero(self) -> bool:

@@ -14,8 +14,8 @@ Lift, unlabel, the product and the pair expansions all read one cached
 integer table, ``_count_table(type order, type mask, l, part orders)``.
 For every host of order l it counts, over each label placement and each
 ordered split of the remaining vertices into the parts, the tuple of the
-parts' flag codes.  Each operation weights those counts sparsely by its
-coefficients and scales each host once by 1/(placements * splits).  A
+parts' canonical masks.  Each operation weights those counts sparsely by
+its coefficients and scales each host once by 1/(placements * splits).  A
 lift from order m to l is the type-0 table with one part of order m; a
 lift to the same order needs no table.  Coefficients may be Fractions or
 RationalFunctions; the arithmetic only assumes ring operations against
@@ -42,7 +42,6 @@ from .graphs import (
     _Frozen,
     _enumerate,
     _min_code_cached,
-    _reversed,
     enumerate_graphs,
     parse_paircode,
     emit_paircode,
@@ -82,6 +81,7 @@ class Flag(_Frozen):
         return self.graph.mask & (1 << s * (s - 1) // 2) - 1
 
     def canonical_bits(self) -> int:
+        """The key of the flag's class: its canonical form's mask, labels pinned."""
         return _min_code_cached(self.graph.n, self.graph.mask, self.labels)
 
     def isomorphic(self, other: "Flag") -> bool:
@@ -130,10 +130,10 @@ class FlagVector:
     """Sparse linear combination of flags sharing one type and order.
 
     Coefficients are any exact ring elements (Fraction, RationalFunction).
-    Keys are flag canonical codes, the only record of the flags: ``items``
-    rebuilds each flag from its code, so it returns canonical forms.
-    ``add`` and ``+`` reject a flag whose labelled vertices induce a
-    different type from the flags already held.
+    Keys are the masks of the flags' canonical forms, the only record of
+    the flags: ``items`` rebuilds each flag from its mask, so it returns
+    canonical forms, in graph order.  ``add`` and ``+`` reject a flag whose
+    labelled vertices induce a different type from the flags already held.
     """
 
     __slots__ = ("labels", "order", "coeffs")
@@ -158,17 +158,16 @@ class FlagVector:
         cur = self.coeffs.get(bits, 0) + c
         self.coeffs[bits] = cur
 
-    def _flag(self, bits: int) -> Flag:
-        return Flag(SmallGraph(self.order, _reversed(bits, math.comb(self.order, 2))), self.labels)
-
     def _type_mask(self) -> int | None:
         """Type mask shared by the held flags; None while there are none."""
+        s = self.labels
         for bits in self.coeffs:
-            return self._flag(bits).type_mask
+            return bits & (1 << s * (s - 1) // 2) - 1
         return None
 
     def items(self):
-        return [(self._flag(b), c) for b, c in sorted(self.coeffs.items())]
+        n, s = self.order, self.labels
+        return [(Flag(SmallGraph(n, b), s), c) for b, c in sorted(self.coeffs.items())]
 
     def coefficient(self, flag: Flag):
         return self.coeffs.get(flag.canonical_bits(), 0)
@@ -240,9 +239,9 @@ def _count_table(
     flags of order l over the type.  Each label placement (every injective
     tuple inducing the type; only 0..s-1 when pinned) and each ordered
     split of the other vertices into disjoint parts of p - s vertices,
-    p in ``parts``, yields the tuple of the parts' flag codes.  Returns
-    (rows, total): rows is [(host code, {code tuple: count})] in code
-    order, and count/total is the probability of that tuple.
+    p in ``parts``, yields the tuple of the parts' canonical masks.
+    Returns (rows, total): rows is [(host mask, {mask tuple: count})] in
+    listing order, and count/total is the probability of that tuple.
 
     A part's sub-flag mask has three pieces.  The type mask fills the
     first C(s, 2) bits.  The part's j-th vertex has its column at bit
@@ -290,12 +289,12 @@ def _count_table(
             for split in splits:
                 key = tuple(map(code.__getitem__, split))
                 counts[key] = counts.get(key, 0) + 1
-        rows.append((_reversed(g.mask, g.pair_count), counts))
+        rows.append((g.mask, counts))
     return rows, len(splits) * (1 if pinned else math.perm(l, s))
 
 
 def _expand(table, labels: int, order: int, weights: dict) -> FlagVector:
-    """Per host, the sum of weight * count over its code tuples, over total."""
+    """Per host, the sum of weight * count over its mask tuples, over total."""
     rows, total = table
     scale = Fraction(1, total)
     out = FlagVector(labels, order)

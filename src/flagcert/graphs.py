@@ -4,8 +4,9 @@ Graphs are stored as an order ``n`` (1..9) plus an edge bitmask over the
 upper triangle.  Bit ``j*(j-1)//2 + i`` holds the pair ``(i, j)`` with
 ``i < j``, i.e. pairs are indexed column by column: (0,1), (0,2), (1,2),
 (0,3), ...  A graph grows by one vertex by appending a column of bits.
-Codes and graph6 read the same pairs from the highest bit, so a code is
-its mask reversed over C(n, 2) places by the one helper ``_reversed``.
+Codes compare pair (0,1) first.  Graph6 and the listing's new columns
+put it in the highest bit, and ``_reversed`` converts where that order
+is the format.
 Adjacency rows (bit v of row u: u and v are adjacent) are the other view,
 and two helpers convert: ``_rows`` (mask to rows) and ``_induced_mask``
 (rows and a vertex list to mask).  The builders ``induced``,
@@ -21,10 +22,10 @@ One bitset branch and bound, ``_search``, computes it: it follows only
 placements whose columns equal a list of best columns, which it lowers
 as it goes.  Twins (swapping them is an automorphism) are explored once,
 which keeps highly symmetric graphs cheap.  One cache, keyed by edge
-mask, holds the codes: ``_min_code_cached(n, mask, fixed)``.  Every
-cache here is bounded.  A class is named by one graph, its
-``canonical_form()``, whose mask is the minimal code reversed; there is
-no separate code type.
+mask, holds the minimal codes as the masks of the graphs they describe:
+``_min_code_cached(n, mask, fixed)``.  Every cache here is bounded.  A
+class is named by one graph, its ``canonical_form()``, and one key, that
+graph's mask; there is no separate code type.
 
 Isomorphism classes are listed by orderly generation (Read 1978; Faradzev
 1978).  A prefix of a minimal code is the minimal code of the subgraph it
@@ -163,7 +164,7 @@ class SmallGraph(_Frozen):
         return SmallGraph(self.n, _induced_mask(self.rows(), inverse))
 
     def canonical_form(self) -> "SmallGraph":
-        return SmallGraph(self.n, _reversed(_min_code(self.n, self.mask), self.pair_count))
+        return SmallGraph(self.n, _min_code(self.n, self.mask))
 
     def complement(self) -> "SmallGraph":
         full = (1 << self.pair_count) - 1
@@ -207,18 +208,19 @@ def _induced_mask(rows, vertices) -> int:
 
 
 def _min_code(n: int, mask: int, fixed: int = 0) -> int:
-    """Minimal packed code with vertices 0..fixed-1 pinned (flags pin labels)."""
+    """The minimal code, vertices 0..fixed-1 pinned (flags pin labels), as
+    the canonical form's mask."""
     return _min_code_cached(n, mask, fixed)
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def _min_code_cached(n: int, mask: int, fixed: int) -> int:
+    """The minimal code as the canonical form's mask; see ``_min_code``."""
     rows = _rows(n, mask)
     best = list(rows[:fixed]) + [-1] * (n - fixed)
     _search(rows, fixed, best)
     # column d of the minimal order is the mask's column d (-1: all ones)
-    mask = sum((col & (1 << d) - 1) << d * (d - 1) // 2 for d, col in enumerate(best))
-    return _reversed(mask, n * (n - 1) // 2)
+    return sum((col & (1 << d) - 1) << d * (d - 1) // 2 for d, col in enumerate(best))
 
 
 def _search(rows: tuple[int, ...], fixed: int, best: list[int]) -> None:
@@ -285,11 +287,6 @@ def _lower(best: list[int], d: int, free: int, placed: list[int]) -> int:
 def _reversed(bits: int, width: int) -> int:
     """``bits`` read backwards over ``width`` places: bit i becomes bit width-1-i."""
     return int(f"{bits:b}".zfill(width)[::-1], 2)
-
-
-def mask_to_code_bits(n: int, mask: int) -> int:
-    """The code bits of a mask in the identity order (no minimising)."""
-    return _reversed(mask, n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ from flagcert.exactmath import KPolynomial, RationalFunction
 from flagcert.flags import Flag, lift
 from flagcert.graphs import (
     SmallGraph,
+    _reversed,
     complete,
     emit_paircode,
     enumerate_graphs,
-    mask_to_code_bits,
     parse_paircode,
     turan,
 )
@@ -919,7 +919,7 @@ def test_linear_factor_mutants_fail_on_their_term_or_stay_anchored(mutant):
 # canonical-code order:
 #     "<canonical code> <coefficient>\n"
 # where <canonical code> is the class's packed canonical code as a decimal
-# integer (graphs.mask_to_code_bits of the canonical form) and
+# integer (the canonical form's mask read backwards, graphs._reversed) and
 # <coefficient> is str() of expansion.coefficient(...): "0" when the class
 # is absent, a Fraction as "p/q", a RationalFunction as "RF(...)".
 EXPANSION_DIGESTS = {
@@ -936,7 +936,7 @@ def test_certificate_expansions_are_frozen(name):
     expansion = certificate_expansion(cert)
     l = cert.expansion_order
     text = "".join(
-        f"{mask_to_code_bits(l, g.mask)} {expansion.coefficient(Flag(g, 0))}\n"
+        f"{_reversed(g.mask, g.pair_count)} {expansion.coefficient(Flag(g, 0))}\n"
         for g in enumerate_graphs(l)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == EXPANSION_DIGESTS[name]

@@ -33,7 +33,6 @@ from flagcert.graphs import (
     empty,
     enumerate_graphs,
     induced_density,
-    mask_to_code_bits,
     parse_paircode,
 )
 
@@ -463,12 +462,36 @@ def test_flag_vector_validation():
         v.add(Flag(complete(3), 2), Fraction(1))  # wrong label count
 
 
+def test_label_free_key_is_the_canonical_form_mask():
+    # one key per class: a flag with no labels is keyed by its graph's
+    # canonical form, every edge mask of order <= 5
+    for n in range(1, 6):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = SmallGraph(n, mask)
+            assert Flag(g, 0).canonical_bits() == g.canonical_form().mask
+
+
+def test_vector_type_mask_is_its_flags_type_mask():
+    # the vector reads the type off a key's low bits, over every type of
+    # order <= 3; the unlabelled vertices of each flag come in reversed
+    for s in range(1, 4):
+        for t in enumerate_graphs(s):
+            for l in range(s + 1, 6):
+                v = FlagVector(s, l)
+                assert v._type_mask() is None
+                for f in flag_basis(t, l):
+                    perm = tuple(range(s)) + tuple(range(l - 1, s - 1, -1))
+                    v.add(Flag(f.graph.relabelled(perm), s), Fraction(1))
+                    assert v._type_mask() == f.type_mask == t.mask
+                assert {f.type_mask for f, _ in v.items()} == {t.mask}
+
+
 # ---------------------------------------------------------------------------
 # the count table against the direct loop
 
 
 def ref_count_table(s, type_mask, l, parts, pinned=False):
-    """The count table by permutations, induced masks and canonical codes."""
+    """The count table by permutations, induced masks and canonical forms."""
     sizes = tuple(p - s for p in parts)
     free = tuple(range(l - s))
     splits = flags._splits(free, sizes)
@@ -494,7 +517,7 @@ def ref_count_table(s, type_mask, l, parts, pinned=False):
             for split in splits:
                 key = tuple(code[u] for u in split)
                 counts[key] = counts.get(key, 0) + 1
-        rows.append((mask_to_code_bits(l, g.mask), counts))
+        rows.append((g.mask, counts))
     return rows, len(splits) * (1 if pinned else math.perm(l, s))
 
 

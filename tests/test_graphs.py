@@ -29,7 +29,6 @@ from flagcert.graphs import (
     from_graph6,
     induced_density,
     join,
-    mask_to_code_bits,
     parse_graph,
     parse_paircode,
     to_graph6,
@@ -128,7 +127,7 @@ def test_column_bound_skips_only_non_canonical_children():
         for type_mask in range(1 << fixed * (fixed - 1) // 2):
             for m in range(fixed + 1, 7):  # vertex m-1 is not pinned
                 for g in graphs._enumerate(m, fixed, type_mask):
-                    prev_col = mask_to_code_bits(m, g.mask) & (1 << m - 1) - 1
+                    prev_col = _reversed(g.mask, g.pair_count) & (1 << m - 1) - 1
                     below = range(prev_col << 1)
                     assert list(_canonical_children(m, g.mask, below, fixed)) == []
                     checked += len(below)
@@ -151,20 +150,17 @@ def _type_parents():
 @given(st.data())
 def test_child_step_matches_minimal_codes(data):
     # the child step against one minimal code per column: a child is kept
-    # exactly when the identity order gives its minimal code; the columns
-    # come all at once, as the listing passes them, or as an increasing
-    # subset, as the oracle's pass 2 does, below the start column included
+    # exactly when it is its own canonical form (the identity order gives
+    # its minimal code); the columns come all at once, as the listing
+    # passes them, or as an increasing subset, as the oracle's pass 2 does,
+    # below the start column included
     m, fixed, _, mask = data.draw(st.sampled_from(_type_parents()))
     if data.draw(st.booleans()):
         columns = range(1 << m)
     else:
         columns = sorted(data.draw(st.sets(st.integers(0, (1 << m) - 1))))
     children = [mask | _reversed(col, m) << m * (m - 1) // 2 for col in columns]
-    expect = [
-        child
-        for child in children
-        if _min_code_cached(m + 1, child, fixed) == mask_to_code_bits(m + 1, child)
-    ]
+    expect = [child for child in children if _min_code_cached(m + 1, child, fixed) == child]
     assert list(_canonical_children(m, mask, columns, fixed)) == expect
 
 
@@ -176,7 +172,7 @@ def test_enumeration_is_canonical_and_sorted():
     for n in range(1, max(MAX_BASIS_ORDER, 7) + 1):
         graphs = enumerate_graphs(n)
         assert all(g == g.canonical_form() for g in graphs)
-        bits = [mask_to_code_bits(g.n, g.mask) for g in graphs]
+        bits = [_reversed(g.mask, g.pair_count) for g in graphs]
         assert bits == sorted(bits)
 
 
@@ -202,12 +198,14 @@ def test_canonical_form_is_permutation_invariant():
 
 
 def _brute_min_code(n: int, mask: int, fixed: int) -> int:
-    """Least identity-order code over all relabellings fixing 0..fixed-1."""
+    """The mask of least identity-order code over all relabellings fixing
+    0..fixed-1; a code reads pair (0, 1) first, so it is the mask reversed."""
     g = SmallGraph(n, mask)
-    return min(
-        mask_to_code_bits(n, g.relabelled(tuple(range(fixed)) + tail).mask)
+    images = (
+        g.relabelled(tuple(range(fixed)) + tail).mask
         for tail in itertools.permutations(range(fixed, n))
     )
+    return min(images, key=lambda image: _reversed(image, g.pair_count))
 
 
 def test_min_code_matches_brute_force_up_to_order_5():

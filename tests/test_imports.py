@@ -32,6 +32,39 @@ def test_library_imports_only_stdlib_or_relative():
     assert outside == []
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The package modules the file imports, at any depth of its tree."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("flagcert."):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("flagcert.")}
+    return {name.removeprefix("flagcert.").partition(".")[0] for name in found}
+
+
+# every import edge inside the package; a new edge updates this table
+IMPORT_LAYERS = {
+    "graphs": set(),
+    "exactmath": set(),
+    "flags": {"graphs"},
+    "oracle": {"graphs"},
+    "constructions": {"exactmath", "graphs"},
+    "certificates": {"exactmath", "flags", "graphs"},
+    "cli": {"certificates", "constructions", "exactmath", "graphs", "oracle"},
+    "__init__": {"certificates", "constructions", "exactmath", "flags", "graphs", "oracle"},
+}
+
+
+def test_package_import_layers():
+    # graphs and exactmath are the bottom layer; flags and the oracle stand
+    # on graphs alone, and only the certificates reach flags
+    layers = {path.stem: _package_imports(path) for path in sorted(SRC.rglob("*.py"))}
+    assert layers == IMPORT_LAYERS
+
+
 def test_no_module_imports_a_process_pool():
     # the scan and the search run in the calling process
     pools = [

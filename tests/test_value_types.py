@@ -3,6 +3,7 @@ hashed and ordered, that they cannot be assigned to, and the messages
 their validations raise."""
 
 import copy
+import functools
 import pickle
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from flagcert.certificates import (
     verify_certificate,
 )
 from flagcert.constructions import BlowupModel, ProfilePoint, QuadExt
-from flagcert.exactmath import PSDResult, RootBracket, SymMatrix
+from flagcert.exactmath import KPolynomial, PSDResult, RationalFunction, RootBracket, SymMatrix
 from flagcert.flags import Flag
 from flagcert.graphs import SmallGraph, complete, empty
 from flagcert.oracle import (
@@ -150,11 +151,39 @@ def test_graphs_and_codes_order_by_their_fields():
         Flag(a, 0) < Flag(b, 0)
 
 
-@pytest.mark.parametrize("cls", [SmallGraph, Flag, BlowupModel, DegreeLocalData])
-def test_validated_values_copy_and_pickle(cls):
-    value = cls(**dict(VALUES)[cls])
+COPIED = {
+    **{
+        cls.__name__: functools.partial(cls, **dict(VALUES)[cls])
+        for cls in (SmallGraph, Flag, BlowupModel, DegreeLocalData)
+    },
+    "KPolynomial": lambda: KPolynomial([1, Fraction(-1, 2), 3]),
+    "RationalFunction": lambda: RationalFunction(KPolynomial([1, 1]), KPolynomial([0, 2])),
+    "QuadExt": lambda: QuadExt(HALF, 3, 8),
+    "appendixA": lambda: load_certificate("appendixA.cert"),
+    "appendixA-report": lambda: verify_certificate(load_certificate("appendixA.cert")),
+}
+
+
+@pytest.mark.parametrize("name", COPIED)
+def test_validated_values_copy_and_pickle(name):
+    value = COPIED[name]()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert twin == value and hash(twin) == hash(value) and type(twin) is cls
+        assert twin == value and type(twin) is type(value)
+        if not isinstance(value, VerificationReport):  # its coefficients are a dict
+            assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize(
+    "name, field", [("KPolynomial", "coeffs"), ("RationalFunction", "num"), ("QuadExt", "a")]
+)
+def test_arithmetic_values_refuse_assignment_and_deletion(name, field):
+    value = COPIED[name]()
+    kept = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, kept)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is kept
 
 
 def test_graph_values_repr_names_their_fields():
