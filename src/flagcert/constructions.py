@@ -22,8 +22,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from ._frozen import _Frozen
 from .exactmath import frac
-from .graphs import SmallGraph, _Frozen, automorphism_count, complete
+from .graphs import SmallGraph, automorphism_count, complete
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -46,7 +47,9 @@ def _square_split(n: int) -> tuple[int, int]:
 
 
 def rational_sqrt_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
-    """(lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= err."""
+    """(lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= err, for err > 0."""
+    if err <= 0:
+        raise ValueError(f"error bound {err} is not positive")
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
@@ -82,12 +85,7 @@ class QuadExt(_Frozen):
                 a, b, s = a + b, Fraction(0), 0
         else:
             b = Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "s", s)
-
-    def _key(self) -> tuple[Fraction, Fraction, int]:
-        return (self.a, self.b, self.s)
+        self._fill(a, b, s)
 
     @property
     def is_rational(self) -> bool:
@@ -113,7 +111,8 @@ class QuadExt(_Frozen):
         return self.a == o.a and self.b == o.b and (self.b == 0 or self.s == o.s)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.s))
+        # a rational element equals its rational, so it hashes as one
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.s))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -141,6 +140,8 @@ class QuadExt(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power")
         out = QuadExt(1)
         for _ in range(e):
             out = out * self
@@ -157,7 +158,9 @@ class QuadExt(_Frozen):
         return (self.a * self.a >= self.b * self.b * self.s) == (self.a >= 0)
 
     def approx(self, err=Fraction(1, 10**18)) -> Fraction:
-        """Rational approximation within err of the true value."""
+        """Rational approximation within err > 0 of the true value."""
+        if err <= 0:
+            raise ValueError(f"error bound {err} is not positive")
         if self.b == 0:
             return self.a
         lo, hi = rational_sqrt_bounds(Fraction(self.s), frac(err) / abs(self.b))
@@ -196,11 +199,7 @@ class BlowupModel(_Frozen):
         one = QuadExt(1) if isinstance(total, QuadExt) else Fraction(1)
         if total != one:
             raise ValueError(f"weights sum to {total}, not 1")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "weights", weights)
-
-    def _key(self) -> tuple:
-        return (self.base, self.weights)
+        self._fill(base, weights)
 
 
 def blowup_density(model: BlowupModel, h: SmallGraph):

@@ -18,6 +18,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
+from ._frozen import _Frozen
+
 Rat = int | Fraction
 
 
@@ -39,7 +41,7 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction exactly")
 
 
-class KPolynomial:
+class KPolynomial(_Frozen):
     """Polynomial in k over Q; coefficients ascending, no trailing zeros."""
 
     __slots__ = ("coeffs",)
@@ -48,15 +50,7 @@ class KPolynomial:
         cs = [frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("KPolynomial is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return KPolynomial, (self.coeffs,)
+        self._fill(tuple(cs))
 
     @staticmethod
     def constant(c) -> "KPolynomial":
@@ -93,10 +87,12 @@ class KPolynomial:
 
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
-        return other is not None and self.coeffs == other.coeffs
+        return NotImplemented if other is None else self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its rational, so it hashes as one
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __neg__(self) -> "KPolynomial":
         return KPolynomial([-c for c in self.coeffs])
@@ -473,7 +469,7 @@ def positive_on_ray(p: KPolynomial, k0) -> bool:
 # rational functions
 
 
-class RationalFunction:
+class RationalFunction(_Frozen):
     """Quotient of KPolynomials, normalized: monic denominator, gcd 1."""
 
     __slots__ = ("num", "den")
@@ -499,24 +495,14 @@ class RationalFunction:
             if lc != 1:
                 num = num * KPolynomial.constant(1 / lc)
                 den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._fill(num, den)
 
     @staticmethod
     def _normalized(num: KPolynomial, den: KPolynomial) -> "RationalFunction":
         """Wrap a numerator and denominator already in normal form."""
         r = object.__new__(RationalFunction)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
+        r._fill(num, den)
         return r
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunction is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return RationalFunction, (self.num, self.den)
 
     @property
     def is_zero(self) -> bool:
@@ -542,14 +528,13 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         other = _as_rf(other)
-        return (
-            other is not None
-            and self.num == other.num
-            and self.den == other.den
-        )
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial equals its numerator, so it hashes as that
+        return hash(self.num) if self.den.degree == 0 else hash((self.num, self.den))
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den)

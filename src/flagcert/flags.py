@@ -37,9 +37,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from ._frozen import _Frozen
 from .graphs import (
     SmallGraph,
-    _Frozen,
     _enumerate,
     _min_code_cached,
     enumerate_graphs,
@@ -58,11 +58,7 @@ class Flag(_Frozen):
     def __init__(self, graph: SmallGraph, labels: int):
         if not 0 <= labels <= graph.n:
             raise ValueError(f"label count {labels} outside 0..{graph.n}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "labels", labels)
-
-    def _key(self) -> tuple[SmallGraph, int]:
-        return (self.graph, self.labels)
+        self._fill(graph, labels)
 
     @property
     def order(self) -> int:

@@ -57,6 +57,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
+from ._frozen import _Frozen
+
 MAX_ORDER = 9
 
 
@@ -73,39 +75,6 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-class _Frozen:
-    """Immutable value over ``__slots__``: equal to and hashed with values of
-    its own class only, by ``_key()``, the fields in constructor order.
-
-    The package writes its value types out like this, with no generated
-    methods: every command is a fresh process, and generating a class's
-    methods compiles them at import.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 @total_ordering
 class SmallGraph(_Frozen):
     """Immutable simple graph on ``n`` labelled vertices (1 <= n <= 9).
@@ -119,11 +88,7 @@ class SmallGraph(_Frozen):
         check_order(n)
         if mask < 0 or mask >> (n * (n - 1) // 2):
             raise ValueError("edge mask has bits outside the upper triangle")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def _key(self) -> tuple[int, int]:
-        return (self.n, self.mask)
+        self._fill(n, mask)
 
     def __lt__(self, other):
         return self._key() < other._key() if other.__class__ is SmallGraph else NotImplemented

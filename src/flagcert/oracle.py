@@ -30,9 +30,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
+from ._frozen import _Frozen
 from .graphs import (
     SmallGraph,
-    _Frozen,
     _canonical_children,
     _start_column,
     check_order,
@@ -97,11 +97,7 @@ class DegreeLocalData(_Frozen):
             raise ValueError("common-neighbour count out of range")
         if i_uv < 0:
             raise ValueError("edge-local count cannot be negative")
-        for name, value in zip(self.__slots__, (n, d_u, d_v, d_uv, i_uv)):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple[int, int, int, int, int]:
-        return (self.n, self.d_u, self.d_v, self.d_uv, self.i_uv)
+        self._fill(n, d_u, d_v, d_uv, i_uv)
 
 
 def degree_local_data(g: SmallGraph, u: int, v: int) -> DegreeLocalData:

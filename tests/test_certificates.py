@@ -6,6 +6,7 @@ import io
 import pkgutil
 import random
 import sys
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -678,7 +679,8 @@ def test_soundness_on_random_models(name):
     assert report.passed
     expansion = certificate_expansion(cert)
     limit = Fraction(cert.bound, 1) / cert.scale
-    for model in _random_models(hash(name) % 10**6, 10):
+    # a fixed seed per certificate: str hashes change from process to process
+    for model in _random_models(zlib.crc32(name.encode()), 10):
         assert model_value(model, expansion) <= limit
 
 

@@ -21,6 +21,7 @@ from flagcert.constructions import (
     rational_sqrt_bounds,
     turan_bound,
 )
+from flagcert.exactmath import KPolynomial
 from flagcert.flags import Flag, FlagVector
 from flagcert.graphs import (
     complete,
@@ -51,6 +52,17 @@ def test_sqrt_bounds_bracket():
     assert rational_sqrt_bounds(Fraction(0), Fraction(1)) == (0, 0)
     with pytest.raises(ValueError):
         rational_sqrt_bounds(Fraction(-1), Fraction(1))
+
+
+@pytest.mark.parametrize("err", [Fraction(0), Fraction(-1, 10**6)])
+def test_sqrt_bounds_and_approx_refuse_a_nonpositive_error(err):
+    # neither may loop: no finite scale reaches a bound <= 0
+    with pytest.raises(ValueError, match="is not positive"):
+        rational_sqrt_bounds(Fraction(2), err)
+    with pytest.raises(ValueError, match="is not positive"):
+        QuadExt(0, 1, 2).approx(err)
+    with pytest.raises(ValueError, match="is not positive"):
+        QuadExt(Fraction(1, 3)).approx(err)
 
 
 def test_quadext_perfect_squares_fold():
@@ -94,6 +106,15 @@ def test_quadext_ring_laws(a1, b1, a2, b2, s):
     assert (x + y) - y == x
     assert x**2 == x * x
     assert x**0 == QuadExt(1)
+
+
+def test_quadext_negative_power_raises():
+    # as KPolynomial does; the power loop would otherwise return 1
+    for x in (QuadExt(2), QuadExt(1, 1, 2), QuadExt(0)):
+        with pytest.raises(ValueError, match="^negative power$"):
+            x ** -1
+    with pytest.raises(ValueError, match="^negative power$"):
+        KPolynomial([2]) ** -1
 
 
 @given(rationals, rationals, radicands)

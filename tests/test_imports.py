@@ -47,11 +47,12 @@ def _package_imports(path: Path) -> set[str]:
 
 # every import edge inside the package; a new edge updates this table
 IMPORT_LAYERS = {
-    "graphs": set(),
-    "exactmath": set(),
-    "flags": {"graphs"},
-    "oracle": {"graphs"},
-    "constructions": {"exactmath", "graphs"},
+    "_frozen": set(),
+    "graphs": {"_frozen"},
+    "exactmath": {"_frozen"},
+    "flags": {"_frozen", "graphs"},
+    "oracle": {"_frozen", "graphs"},
+    "constructions": {"_frozen", "exactmath", "graphs"},
     "certificates": {"exactmath", "flags", "graphs"},
     "cli": {"certificates", "constructions", "exactmath", "graphs", "oracle"},
     "__init__": {"certificates", "constructions", "exactmath", "flags", "graphs", "oracle"},
@@ -59,8 +60,9 @@ IMPORT_LAYERS = {
 
 
 def test_package_import_layers():
-    # graphs and exactmath are the bottom layer; flags and the oracle stand
-    # on graphs alone, and only the certificates reach flags
+    # _frozen, the one immutable value base, is the bottom layer; graphs and
+    # exactmath stand on it alone, flags and the oracle on it and graphs,
+    # and only the certificates reach flags
     layers = {path.stem: _package_imports(path) for path in sorted(SRC.rglob("*.py"))}
     assert layers == IMPORT_LAYERS
 
@@ -128,4 +130,32 @@ def test_only_graphs_reaches_the_canonicity_search():
             )
             if name in names:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno} references {name}")
+    assert found == []
+
+
+def test_only_the_frozen_base_sets_fields_or_defines_identity():
+    # one immutable value base, _frozen._Frozen: a value type that wrote its
+    # own field setter, pickling or key would be a second copy of that job
+    names = {"__setattr__", "__delattr__", "__reduce__", "_key"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "_frozen.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', '?')}"
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append(f"{where} calls object.__setattr__")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
+                found.append(f"{where} defines {node.name}")
+            elif isinstance(node, ast.Assign):
+                found += [
+                    f"{where} defines {t.id}"
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id in names
+                ]
     assert found == []

@@ -8,6 +8,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagcert.certificates import (
     Certificate,
@@ -173,15 +175,45 @@ def test_validated_values_copy_and_pickle(name):
             assert hash(twin) == hash(value)
 
 
+def test_number_types_equal_to_a_rational_hash_as_it():
+    k = KPolynomial([0, 1])
+    assert QuadExt(1) == 1 and len({QuadExt(1), 1}) == 1
+    assert KPolynomial([HALF]) == HALF and hash(KPolynomial([HALF])) == hash(HALF)
+    assert RationalFunction(k) == k and hash(RationalFunction(k)) == hash(k)
+    assert RationalFunction(0) == 0 and hash(RationalFunction(0)) == hash(0)
+    assert len({KPolynomial([]), RationalFunction(0), Fraction(0), 0}) == 1
+
+
+# small pools, so that values of different types often coincide
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+POLYS = st.lists(SMALL, max_size=3).map(KPolynomial)
+NUMBERS = st.one_of(
+    st.integers(-2, 2),
+    SMALL,
+    POLYS,
+    st.builds(RationalFunction, POLYS, POLYS.filter(bool)),
+    st.builds(QuadExt, SMALL, SMALL, st.sampled_from([0, 2, 3, 4, HALF])),
+)
+
+
+@given(st.lists(NUMBERS, min_size=2, max_size=6))
+def test_equal_numbers_hash_equal_across_types(values):
+    for a in values:
+        for b in values:
+            assert (a == b) == (b == a), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
 @pytest.mark.parametrize(
     "name, field", [("KPolynomial", "coeffs"), ("RationalFunction", "num"), ("QuadExt", "a")]
 )
 def test_arithmetic_values_refuse_assignment_and_deletion(name, field):
     value = COPIED[name]()
     kept = getattr(value, field)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
         setattr(value, field, kept)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
         delattr(value, field)
     assert getattr(value, field) is kept
 
