@@ -54,20 +54,22 @@ def rational_sqrt_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction
         raise ValueError("negative radicand")
     if x == 0:
         return Fraction(0), Fraction(0)
-    scale = 1
-    while Fraction(1, x.denominator * scale) > err:
+    den = x.denominator
+    # the least power of ten with 1 / (den * scale) <= err
+    scale, num, need = 1, err.numerator * den, err.denominator
+    while num * scale < need:
         scale *= 10
-    n = x.numerator * x.denominator * scale * scale
-    r = math.isqrt(n)
-    lo = Fraction(r, x.denominator * scale)
-    return lo, lo + Fraction(1, x.denominator * scale)
+    r = math.isqrt(x.numerator * den * scale * scale)
+    lo = Fraction(r, den * scale)
+    return lo, lo + Fraction(1, den * scale)
 
 
 class QuadExt(_Frozen):
     """Element a + b*sqrt(s) of Q[sqrt(s)], s a squarefree positive int.
 
     Construction accepts any rational radicand and normalizes: perfect
-    squares fold into the rational part, so equality is structural.
+    squares fold into the rational part, so equality is structural.  The
+    ring operations keep an operand's squarefree s and skip that work.
     """
 
     __slots__ = ("a", "b", "s")
@@ -87,6 +89,13 @@ class QuadExt(_Frozen):
             b = Fraction(0)
         self._fill(a, b, s)
 
+    @classmethod
+    def _from_squarefree(cls, a: Fraction, b: Fraction, s: int) -> "QuadExt":
+        """a + b*sqrt(s) from Fractions a, b and an s that is 0 or squarefree."""
+        x = object.__new__(cls)
+        x._fill(a, b, s if b else 0)
+        return x
+
     @property
     def is_rational(self) -> bool:
         return self.b == 0
@@ -101,7 +110,9 @@ class QuadExt(_Frozen):
             if other.b and self.b and other.s != self.s:
                 raise ValueError("mixing different quadratic extensions")
             return other
-        return QuadExt(frac(other))
+        if isinstance(other, (int, Fraction)):  # not str: no string equals a number
+            return QuadExt._from_squarefree(frac(other), Fraction(0), 0)
+        raise TypeError(f"cannot treat {type(other).__name__} as a number")
 
     def __eq__(self, other):
         try:
@@ -116,24 +127,24 @@ class QuadExt(_Frozen):
 
     def __add__(self, other):
         o = self._coerce(other)
-        s = self.s or o.s
-        return QuadExt(self.a + o.a, self.b + o.b, s)
+        return QuadExt._from_squarefree(self.a + o.a, self.b + o.b, self.s or o.s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.s)
+        return QuadExt._from_squarefree(-self.a, -self.b, self.s)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return QuadExt._from_squarefree(self.a - o.a, self.b - o.b, self.s or o.s)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         s = self.s or o.s
-        return QuadExt(
+        return QuadExt._from_squarefree(
             self.a * o.a + self.b * o.b * s, self.a * o.b + self.b * o.a, s
         )
 
@@ -292,7 +303,9 @@ def _piece_value(k: int, e: Fraction) -> QuadExt:
     c1 = 15 * (k - 1) * (k - 2) * k
     c2 = 30 * (k - 1) * k
     c3 = 15 * (k - 1) * k
-    return c1 * a**5 + c2 * ak1**2 * a**3 - c3 * ak1 * a**4
+    # c1 a^5 + c2 (ak-1)^2 a^3 - c3 (ak-1) a^4, with a^2 formed once
+    a2 = a * a
+    return a2 * a * (c1 * a2 + ak1 * (c2 * ak1 - c3 * a))
 
 
 def piece_model(k: int, e) -> BlowupModel:

@@ -189,7 +189,7 @@ class KPolynomial(_Frozen):
 def _as_poly(x):
     if isinstance(x, KPolynomial):
         return x
-    if isinstance(x, (int, Fraction, str)):
+    if isinstance(x, (int, Fraction)):  # not str: no string equals a number
         return KPolynomial.constant(x)
     return None
 

@@ -18,8 +18,9 @@ Three independent checks live here:
 
 Everything is exact: the scan clears denominators and works in (unbounded)
 Python integers, so a reported pass is a proof for the scanned range.  The
-scan runs one cell per n that tests every k on each triple.  Both the scan
-and the search run in the calling process.
+scan runs one cell per n that tests every k on each row's largest cubic and
+walks a row triple by triple only where that test fails.  Both the scan and
+the search run in the calling process.
 """
 
 from __future__ import annotations
@@ -222,48 +223,79 @@ class ScanReport(
         return out
 
 
-def _scan_cell(pqs: tuple[tuple[int, int], ...], n: int) -> tuple:
-    """Exhaust one n for every k = p/q in ``pqs``; pure-integer inner loop.
+def _row_maxima(n: int) -> list[tuple[int, int, int, int]]:
+    """(a, b, lo, largest (a-c)(b-c)c over lo <= c <= a) per scan row at order n.
 
-    Each triple's cubic (a-c)(b-c)c is evaluated once and shared by every
-    k.  Since p^3 > 0, a row (a, b) holds for one k once its largest cubic
-    passes the cleared test, and only a failing row is walked triple by
-    triple.  The case-i bound does not involve k, so it is tested once per
-    row and its violations are reported under each k.  Returns ``(checked,
-    per_k)`` where ``checked`` counts the triples (each checked once per k)
-    and ``per_k`` lists (violations, disagreements) per k.
+    A row is 1 <= a <= b < n with lo = max(0, a+b-n), in (a, b) order.  On
+    0..a the cubic rises strictly up to one critical point in (0, a) and
+    falls after it, and that point moves right as b grows, so each row's
+    argmax is hill-climbed from the previous row's: O(1) amortized.
     """
-    consts = [(p * p, p**3, p * p * (p - 3 * q), q**3 * n**3, p, q) for p, q in pqs]
-    checked = 0
-    per_k: list[tuple[list, list]] = [([], []) for _ in pqs]
+    out = []
     for a in range(1, n):
-        case_i = 3 * a >= 2 * n  # 2n/3 <= d_u <= d_v
+        c = 0
         for b in range(a, n):
-            prod_nn = (n - a) * (n - b)
-            lo = max(0, a + b - n)
-            # c runs over lo..a (a = min(a, b))
-            cubics = [(a - c) * (b - c) * c for c in range(lo, a + 1)]
-            checked += len(cubics)
-            top = max(cubics)
-            bound_i = prod_nn * (a + b - n)
-            row_case_i = case_i and top > bound_i
-            for (p2, p3, slack, rhs, p, q), (violations, disagreements) in zip(consts, per_k):
-                base = slack * n * prod_nn
-                if row_case_i or p3 * top - base > rhs:
-                    for c, cubic in enumerate(cubics, lo):
-                        if p3 * cubic - base > rhs:
-                            violations.append((a, b, c, "want"))
-                        if case_i and cubic > bound_i:
-                            violations.append((a, b, c, "case-i"))
-                # on the subdomain d_uv = d_u + d_v - n the rearranged form
-                # must agree with the direct one
-                if a + b >= n:
-                    direct = p3 * cubics[0] - base <= rhs
-                    rearranged = (
-                        p2 * (n * (3 * q - 2 * p) + p * (a + b)) * prod_nn <= rhs
-                    )
-                    if direct != rearranged:
-                        disagreements.append((a, b, lo))
+            lo = a + b - n if a + b > n else 0
+            if c < lo:
+                c = lo
+            top = (a - c) * (b - c) * c
+            while c < a:
+                up = (a - c - 1) * (b - c - 1) * (c + 1)
+                if up <= top:
+                    break
+                c, top = c + 1, up
+            out.append((a, b, lo, top))
+    return out
+
+
+def _scan_cell(pqs: tuple[tuple[int, int], ...], n: int) -> tuple:
+    """Exhaust one n for every k = p/q in ``pqs``; pure-integer arithmetic.
+
+    Since p^3 > 0, a row (a, b) holds for one k once its largest cubic
+    (``_row_maxima``) passes the cleared test; only a row that fails it, or
+    fails the k-free case-i bound, is walked triple by triple, and case-i
+    violations are reported under each k.  Returns ``(checked, per_k)``
+    where ``checked`` counts the triples (each checked once per k) and
+    ``per_k`` lists (violations, disagreements) per k.
+    """
+    rows = []  # (a, b, lo, largest cubic, (n-a)(n-b)), in (a, b) order
+    case_i_rows = []  # rows with 2n/3 <= a whose largest cubic beats the bound
+    slices = []  # (a, b, lo, f(lo), (n-a)(n-b)) of the rows with a + b >= n
+    checked = 0
+    for a, b, lo, top in _row_maxima(n):
+        checked += a - lo + 1
+        prod = (n - a) * (n - b)
+        row = (a, b, lo, top, prod)
+        rows.append(row)
+        if 3 * a >= 2 * n and top > prod * (a + b - n):
+            case_i_rows.append(row)
+        if a + b >= n:
+            slices.append((a, b, lo, lo * (a - lo) * (b - lo), prod))
+    per_k = []
+    for p, q in pqs:
+        p2, p3, rhs = p * p, p**3, q**3 * n**3
+        slack = p2 * (p - 3 * q) * n
+        walk = [row for row in rows if p3 * row[3] - slack * row[4] > rhs]
+        if case_i_rows:
+            walk = sorted(set(walk).union(case_i_rows))
+        violations = []
+        for a, b, lo, _, prod in walk:
+            base, bound_i = slack * prod, prod * (a + b - n)
+            for c in range(lo, a + 1):
+                cubic = (a - c) * (b - c) * c
+                if p3 * cubic - base > rhs:
+                    violations.append((a, b, c, "want"))
+                if 3 * a >= 2 * n and cubic > bound_i:
+                    violations.append((a, b, c, "case-i"))
+        # on the slice d_uv = d_u + d_v - n the rearranged form must agree
+        # with the direct one
+        m = n * (3 * q - 2 * p)
+        disagreements = [
+            (a, b, lo)
+            for a, b, lo, f_lo, prod in slices
+            if (p3 * f_lo - slack * prod <= rhs) != (p2 * (m + p * (a + b)) * prod <= rhs)
+        ]
+        per_k.append((violations, disagreements))
     return checked, per_k
 
 

@@ -7,10 +7,15 @@ checks a renamed library function would only show when the benchmark runs.
 """
 
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _library_attr(module: str, name: str):
@@ -45,3 +50,18 @@ def test_caches_read_by_the_runner_are_lru_caches():
         cache = _library_attr(module, name)
         assert callable(getattr(cache, "cache_info", None)), key
         assert callable(getattr(cache, "cache_parameters", None)), key
+
+
+def test_importing_the_cli_loads_every_module_the_shim_wraps():
+    # the shim wraps only the modules that ``import flagcert.cli`` loaded, so
+    # a lazy import of any of them would stop the traced benchmark
+    probe = (
+        "import json, sys, flagcert.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('flagcert.'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = {name.removeprefix("flagcert.") for name in json.loads(out)}
+    assert set(_shim_namespace()["BOUNDARY"]) - loaded == set()

@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagcert.constructions import (
     BlowupModel,
     ProfilePoint,
     QuadExt,
+    _piece_value,
     blowup_density,
     conjecture_value,
     model_value,
@@ -52,6 +53,28 @@ def test_sqrt_bounds_bracket():
     assert rational_sqrt_bounds(Fraction(0), Fraction(1)) == (0, 0)
     with pytest.raises(ValueError):
         rational_sqrt_bounds(Fraction(-1), Fraction(1))
+
+
+def _fraction_loop_sqrt_bounds(x, err):
+    # reference: the scale chosen by Fraction comparisons
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    scale = 1
+    while Fraction(1, x.denominator * scale) > err:
+        scale *= 10
+    r = math.isqrt(x.numerator * x.denominator * scale * scale)
+    lo = Fraction(r, x.denominator * scale)
+    return lo, lo + Fraction(1, x.denominator * scale)
+
+
+@given(
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**9),
+    st.fractions(min_value=Fraction(1, 10**30), max_value=100, max_denominator=10**30),
+)
+@example(Fraction(2, 3), Fraction(1, 3000))  # err is exactly 1 / (denominator * scale)
+@example(Fraction(2), 1)
+def test_sqrt_bounds_choose_the_scale_of_the_fraction_loop(x, err):
+    assert rational_sqrt_bounds(x, err) == _fraction_loop_sqrt_bounds(x, err)
 
 
 @pytest.mark.parametrize("err", [Fraction(0), Fraction(-1, 10**6)])
@@ -106,6 +129,60 @@ def test_quadext_ring_laws(a1, b1, a2, b2, s):
     assert (x + y) - y == x
     assert x**2 == x * x
     assert x**0 == QuadExt(1)
+
+
+# zero, one and perfect squares fold into the rational part; the rest keep
+# a squarefree radicand
+all_radicands = st.one_of(
+    st.sampled_from([0, 1, 4, 9, Fraction(9, 4)]),
+    radicands,
+    st.fractions(min_value=0, max_value=50, max_denominator=12),
+)
+
+
+def _fields(x):
+    return x.a, x.b, x.s
+
+
+@given(rationals, rationals, rationals, rationals, all_radicands, st.booleans())
+def test_quadext_arithmetic_gives_the_normalizing_constructors_fields(a1, b1, a2, b2, r, rational):
+    x = QuadExt(a1, b1, r)
+    y = QuadExt(a2) if rational else QuadExt(a2, b2, r)
+    s = x.s or y.s
+    expected = [
+        (x + y, QuadExt(x.a + y.a, x.b + y.b, s)),
+        (x - y, QuadExt(x.a - y.a, x.b - y.b, s)),
+        (-x, QuadExt(-x.a, -x.b, x.s)),
+        (x * y, QuadExt(x.a * y.a + x.b * y.b * s, x.a * y.b + x.b * y.a, s)),
+        (a2 - x, QuadExt(a2 - x.a, -x.b, x.s)),
+        (3 * x, QuadExt(3 * x.a, 3 * x.b, x.s)),
+    ]
+    for got, want in expected:
+        assert _fields(got) == _fields(want)
+    for e in range(4):
+        power = x**e
+        assert _fields(power) == _fields(QuadExt(*_fields(power)))
+    for got in [got for got, _ in expected] + [x**3]:
+        assert type(got.a) is Fraction and type(got.b) is Fraction and type(got.s) is int
+
+
+def _power_form_piece_value(k, e):
+    # reference: the k-piece with one power of a per term
+    disc = k * k * (1 - e) - e * k
+    a = QuadExt(Fraction(k, k * k + k), Fraction(1, k * k + k), disc)
+    ak1 = a * k - 1
+    c1 = 15 * (k - 1) * (k - 2) * k
+    c2 = 30 * (k - 1) * k
+    c3 = 15 * (k - 1) * k
+    return c1 * a**5 + c2 * ak1**2 * a**3 - c3 * ak1 * a**4
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@given(st.integers(0, 10**6))
+def test_piece_value_matches_the_power_form(k, step):
+    lo, hi = Fraction(k - 1, k), Fraction(k, k + 1)
+    for e in (lo, hi, lo + (hi - lo) * Fraction(step, 10**6)):
+        assert _fields(_piece_value(k, e)) == _fields(_power_form_piece_value(k, e))
 
 
 def test_quadext_negative_power_raises():

@@ -26,6 +26,7 @@ from flagcert.oracle import (
     ScanViolation,
     _column_counts,
     _extended,
+    _row_maxima,
     _scan_cell,
     counting_identity_check,
     degree_local_data,
@@ -242,6 +243,71 @@ def test_scan_cell_violations_match_fraction_reference():
         assert cell == ref
         # a cell for this k alone gives the same lists
         assert _cell_violations(((k.numerator, k.denominator),), 10) == (checked, [ref])
+
+
+def _reference_cell(pqs, n):
+    # _scan_cell's result from every triple under every k: no row maximum
+    checked = 0
+    per_k = [([], []) for _ in pqs]
+    for a in range(1, n):
+        for b in range(a, n):
+            lo = max(0, a + b - n)
+            checked += a - lo + 1
+            prod = (n - a) * (n - b)
+            for (p, q), (violations, disagreements) in zip(pqs, per_k):
+                base = p * p * (p - 3 * q) * n * prod
+                rhs = q**3 * n**3
+                for c in range(lo, a + 1):
+                    cubic = (a - c) * (b - c) * c
+                    if p**3 * cubic - base > rhs:
+                        violations.append((a, b, c, "want"))
+                    if 3 * a >= 2 * n and cubic > prod * (a + b - n):
+                        violations.append((a, b, c, "case-i"))
+                if a + b >= n:
+                    direct = p**3 * (n - b) * (n - a) * lo - base <= rhs
+                    rearranged = p * p * (n * (3 * q - 2 * p) + p * (a + b)) * prod <= rhs
+                    if direct != rearranged:
+                        disagreements.append((a, b, lo))
+    return checked, per_k
+
+
+SCANNED_PQS = ((3, 1), (7, 2), (4, 1), (5, 1), (10, 1))
+
+
+# k = 5/2 and k = 2 fail the want test, so their rows are walked; k = 29/10
+# passes it up to n = 40.  Case-i is a true bound and the slice's two forms
+# are one identity, so those lists stay empty at every k.
+@pytest.mark.parametrize(
+    "pqs, fails",
+    [(SCANNED_PQS, False), (((5, 2),), True), (((2, 1),), True), (((29, 10),), False)],
+)
+def test_scan_cell_matches_the_every_triple_reference(pqs, fails):
+    found = 0
+    for n in range(1, 41):
+        got = _scan_cell(pqs, n)
+        assert got == _reference_cell(pqs, n), n
+        found += sum(len(violations) for violations, _ in got[1])
+    assert (found > 0) == fails
+
+
+@st.composite
+def _scan_rows(draw):
+    n = draw(st.integers(2, 200))
+    a = draw(st.integers(1, n - 1))
+    return n, a, draw(st.integers(a, n - 1))
+
+
+@given(_scan_rows())
+@example((200, 1, 199))
+@example((200, 133, 199))
+@example((200, 199, 199))
+def test_hill_climbed_row_maximum_is_the_largest_cubic(row):
+    n, a, b = row
+    lo = max(0, a + b - n)
+    top = max((a - c) * (b - c) * c for c in range(lo, a + 1))
+    rows = {(r[0], r[1]): r for r in _row_maxima(n)}
+    assert len(rows) == n * (n - 1) // 2
+    assert rows[a, b] == (a, b, lo, top)
 
 
 def test_scan_input_validation():

@@ -4,6 +4,7 @@ their validations raise."""
 
 import copy
 import functools
+import operator
 import pickle
 from fractions import Fraction
 
@@ -182,6 +183,22 @@ def test_number_types_equal_to_a_rational_hash_as_it():
     assert RationalFunction(k) == k and hash(RationalFunction(k)) == hash(k)
     assert RationalFunction(0) == 0 and hash(RationalFunction(0)) == hash(0)
     assert len({KPolynomial([]), RationalFunction(0), Fraction(0), 0}) == 1
+    # no string equals a number, as no hash can match both
+    for number in (KPolynomial([1]), QuadExt(1), RationalFunction(1)):
+        assert number != "1" and "1" != number and len({number, "1"}) == 2
+
+
+@pytest.mark.parametrize(
+    "number",
+    [KPolynomial([1]), QuadExt(1), RationalFunction(1)],
+    ids=["KPolynomial", "QuadExt", "RationalFunction"],
+)
+def test_number_types_do_no_arithmetic_with_strings(number):
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(number, "1")
+        with pytest.raises(TypeError):
+            op("1", number)
 
 
 # small pools, so that values of different types often coincide
@@ -193,6 +210,7 @@ NUMBERS = st.one_of(
     POLYS,
     st.builds(RationalFunction, POLYS, POLYS.filter(bool)),
     st.builds(QuadExt, SMALL, SMALL, st.sampled_from([0, 2, 3, 4, HALF])),
+    st.sampled_from(["0", "1", "1/2", "-2"]),
 )
 
 
