@@ -29,9 +29,11 @@ from .constructions import profile_csv, profile_table
 from .exactmath import frac
 from .graphs import (
     MAX_ORDER,
+    SmallGraph,
+    _level,
+    check_order,
     count_induced,
     emit_paircode,
-    enumerate_graphs,
     induced_density,
     parse_graph,
     to_graph6,
@@ -58,10 +60,12 @@ def _read(source: str, parse, load):
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    graphs = enumerate_graphs(args.order)
-    for g in graphs:
+    check_order(args.order)  # then print each class as it is listed, not the whole order
+    count = 0
+    for count, mask in enumerate(_level(args.order, 0, 0), 1):
+        g = SmallGraph(args.order, mask)
         print(to_graph6(g) if args.graph6 else emit_paircode(g))
-    print(f"count={len(graphs)}")
+    print(f"count={count}")
     return 0
 
 

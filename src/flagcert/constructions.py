@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._frozen import _Frozen
-from .exactmath import frac
+from .exactmath import KPolynomial, RationalFunction, frac
 from .graphs import SmallGraph, automorphism_count, complete
 
 
@@ -115,6 +115,8 @@ class QuadExt(_Frozen):
         raise TypeError(f"cannot treat {type(other).__name__} as a number")
 
     def __eq__(self, other):
+        if isinstance(other, (KPolynomial, RationalFunction)):  # equal only to a rational
+            return self.b == 0 and other == self.a
         try:
             o = self._coerce(other)
         except (TypeError, ValueError):

@@ -42,7 +42,7 @@ from .graphs import (
     SmallGraph,
     _enumerate,
     _min_code_cached,
-    enumerate_graphs,
+    _rows,
     parse_paircode,
     emit_paircode,
 )
@@ -104,22 +104,16 @@ def parse_flag(text: str) -> Flag:
     return Flag(parse_paircode(s), 0)
 
 
-def _type_key(type_graph: SmallGraph | None) -> tuple[int, int]:
-    if type_graph is None:
-        return (0, 0)
-    return (type_graph.n, type_graph.mask)
-
-
 def flag_basis(type_graph: SmallGraph | None, l: int) -> tuple[Flag, ...]:
     """All flags of order l over the given type, sorted by canonical code.
 
     The labelled vertices of every returned flag are 0..s-1 and induce
     exactly the type graph (same adjacency, same vertex order).
     """
-    s, mask = _type_key(type_graph)
+    s, type_mask = (0, 0) if type_graph is None else (type_graph.n, type_graph.mask)
     if not s <= l <= MAX_BASIS_ORDER or l < 1:
         raise ValueError(f"basis order {l} outside {max(s,1)}..{MAX_BASIS_ORDER}")
-    return tuple(Flag(g, s) for g in _enumerate(l, s, mask))
+    return tuple(Flag(SmallGraph(l, mask), s) for mask in _enumerate(l, s, type_mask))
 
 
 class FlagVector:
@@ -260,10 +254,10 @@ def _count_table(
         for u in subsets
     ]
     orders = [s + len(u) for u in subsets]
-    hosts = _enumerate(l, s, type_mask) if pinned else enumerate_graphs(l)
+    hosts = _enumerate(l, s, type_mask) if pinned else _enumerate(l, 0, 0)
     rows = []
-    for g in hosts:
-        grows = g.rows()
+    for host in hosts:
+        grows = _rows(l, host)
         counts: dict[tuple[int, ...], int] = {}
         for theta in [tuple(range(s))] if pinned else _placements(grows, s, type_mask):
             rest = [v for v in range(l) if v not in theta]
@@ -285,7 +279,7 @@ def _count_table(
             for split in splits:
                 key = tuple(map(code.__getitem__, split))
                 counts[key] = counts.get(key, 0) + 1
-        rows.append((g.mask, counts))
+        rows.append((host, counts))
     return rows, len(splits) * (1 if pinned else math.perm(l, s))
 
 

@@ -35,6 +35,7 @@ from ._frozen import _Frozen
 from .graphs import (
     SmallGraph,
     _canonical_children,
+    _enumerate,
     _start_column,
     check_order,
     count_induced,
@@ -456,9 +457,9 @@ def _extended(h: SmallGraph, m: int, completing: dict[str, list[int]]):
         return
     parents = {p[0]: p for p in _new_copies(h, m - 1, completing)}
     low = (1 << (m - 1) * (m - 2) // 2) - 1
-    for g in enumerate_graphs(m):
-        _, count, _, new = parents[g.mask & low]
-        yield g.mask, count + new[_start_column(m, g.mask) >> 1]
+    for mask in _enumerate(m, 0, 0):
+        _, count, _, new = parents[mask & low]
+        yield mask, count + new[_start_column(m, mask) >> 1]
 
 
 def _new_copies(h: SmallGraph, m: int, completing: dict[str, list[int]]) -> list[tuple]:

@@ -1089,6 +1089,30 @@ def test_count_table_cache_is_bounded_and_holds_the_bundle():
         assert info.hits > 0
 
 
+@pytest.mark.parametrize("name", ["k3", "k4"])
+def test_verify_searches_no_listed_class(name, monkeypatch):
+    # a listed class is named by its mask, so verifying looks its
+    # coefficient up by that mask: from cold caches, the only label-free
+    # canonical search at the expansion order is of a parsed graph, which
+    # may come in any labelling: k4's target, whose order is its expansion
+    # order (k3's target is of lower order)
+    for cache in (flags._count_table, graphs._min_code_cached, graphs._enumerate):
+        cache.cache_clear()
+    searched = []
+    search = graphs._search
+
+    def recorded(rows, fixed, best):
+        searched.append((len(rows), fixed, graphs._induced_mask(rows, range(len(rows)))))
+        search(rows, fixed, best)
+
+    monkeypatch.setattr(graphs, "_search", recorded)
+    cert = load_certificate(name + ".cert")
+    assert verify_certificate(cert).passed
+    order = cert.expansion_order
+    at_order = [mask for n, fixed, mask in searched if (n, fixed) == (order, 0)]
+    assert at_order == ([cert.target.mask] if cert.target.n == order else [])
+
+
 def _package_caches():
     """Every lru_cache defined at module level in the package."""
     names = [m.name for m in pkgutil.iter_modules(flagcert.__path__)]

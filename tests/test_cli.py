@@ -79,8 +79,11 @@ def test_enumerate_order8_graph6_is_frozen(capsys):
 def test_enumerate_order9_is_frozen(capsys):
     # digest of the whole stdout, recorded before one walk of each parent's
     # tie tree replaced a canonicity test per candidate column
+    graphs._enumerate.cache_clear()
     code, out, _ = run(capsys, "enumerate", "--order", "9")
-    graphs._enumerate.cache_clear()  # the order-9 listing holds about 40 MB
+    # the command prints order 9 as it is listed: only the parents, orders
+    # 1..8, stay cached
+    assert graphs._enumerate.cache_info().currsize == 8
     assert code == 0 and out.endswith("\ncount=274668\n")
     assert (
         hashlib.sha256(out.encode()).hexdigest()

@@ -496,10 +496,10 @@ def ref_count_table(s, type_mask, l, parts, pinned=False):
     free = tuple(range(l - s))
     splits = flags._splits(free, sizes)
     subsets = [u for k in set(sizes) for u in itertools.combinations(free, k)]
-    hosts = _enumerate(l, s, type_mask) if pinned else enumerate_graphs(l)
+    hosts = _enumerate(l, s, type_mask) if pinned else _enumerate(l, 0, 0)
     rows = []
-    for g in hosts:
-        grows = g.rows()
+    for host in hosts:
+        grows = SmallGraph(l, host).rows()
         counts = {}
         thetas = [tuple(range(s))] if pinned else [
             theta
@@ -517,7 +517,7 @@ def ref_count_table(s, type_mask, l, parts, pinned=False):
             for split in splits:
                 key = tuple(code[u] for u in split)
                 counts[key] = counts.get(key, 0) + 1
-        rows.append((g.mask, counts))
+        rows.append((host, counts))
     return rows, len(splits) * (1 if pinned else math.perm(l, s))
 
 

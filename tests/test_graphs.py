@@ -118,6 +118,21 @@ def test_enumeration_keeps_candidates_out_of_caches():
     assert graphs._min_code_cached.cache_info().currsize == 0
 
 
+def test_listings_are_cached_as_masks():
+    # a listed class is its canonical form's mask; enumerate_graphs builds
+    # the graphs from those masks on each call
+    keys = [(l, 0, 0) for l in range(1, 9)] + [
+        (m, fixed, type_mask)
+        for fixed in range(1, 4)
+        for type_mask in range(1 << fixed * (fixed - 1) // 2)
+        for m in range(fixed, 7)
+    ]
+    for key in keys:
+        listed = graphs._enumerate(*key)
+        assert type(listed) is tuple and all(type(mask) is int for mask in listed), key
+    assert [g.mask for g in enumerate_graphs(7)] == list(graphs._enumerate(7, 0, 0))
+
+
 def test_column_bound_skips_only_non_canonical_children():
     # a child whose new column is below twice the identity column of vertex
     # m-1 gets a smaller code by swapping the two, so the child step must
@@ -126,10 +141,10 @@ def test_column_bound_skips_only_non_canonical_children():
     for fixed in range(4):
         for type_mask in range(1 << fixed * (fixed - 1) // 2):
             for m in range(fixed + 1, 7):  # vertex m-1 is not pinned
-                for g in graphs._enumerate(m, fixed, type_mask):
-                    prev_col = _reversed(g.mask, g.pair_count) & (1 << m - 1) - 1
+                for mask in graphs._enumerate(m, fixed, type_mask):
+                    prev_col = _reversed(mask, m * (m - 1) // 2) & (1 << m - 1) - 1
                     below = range(prev_col << 1)
-                    assert list(_canonical_children(m, g.mask, below, fixed)) == []
+                    assert list(_canonical_children(m, mask, below, fixed)) == []
                     checked += len(below)
     assert checked == 450650
 
@@ -138,11 +153,11 @@ def test_column_bound_skips_only_non_canonical_children():
 def _type_parents():
     """(m, fixed, type mask, parent mask) of every listed form, m <= 6, fixed <= 3."""
     return tuple(
-        (m, fixed, type_mask, g.mask)
+        (m, fixed, type_mask, mask)
         for fixed in range(4)
         for type_mask in range(1 << fixed * (fixed - 1) // 2)
         for m in range(max(fixed, 1), 7)
-        for g in graphs._enumerate(m, fixed, type_mask)
+        for mask in graphs._enumerate(m, fixed, type_mask)
     )
 
 

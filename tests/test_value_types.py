@@ -9,7 +9,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagcert.certificates import (
@@ -183,6 +183,10 @@ def test_number_types_equal_to_a_rational_hash_as_it():
     assert RationalFunction(k) == k and hash(RationalFunction(k)) == hash(k)
     assert RationalFunction(0) == 0 and hash(RationalFunction(0)) == hash(0)
     assert len({KPolynomial([]), RationalFunction(0), Fraction(0), 0}) == 1
+    # the two families meet at their constants, whatever the insertion order
+    assert KPolynomial([]) == QuadExt(0) and QuadExt(HALF) == RationalFunction(HALF)
+    assert len({KPolynomial([]), QuadExt(0), 0}) == len({0, KPolynomial([]), QuadExt(0)}) == 1
+    assert QuadExt(0) != KPolynomial([0, 1]) and QuadExt(1, 1, 2) != KPolynomial([1])
     # no string equals a number, as no hash can match both
     for number in (KPolynomial([1]), QuadExt(1), RationalFunction(1)):
         assert number != "1" and "1" != number and len({number, "1"}) == 2
@@ -201,6 +205,19 @@ def test_number_types_do_no_arithmetic_with_strings(number):
             op("1", number)
 
 
+@pytest.mark.parametrize(
+    "other", [KPolynomial([1]), RationalFunction(1)], ids=["KPolynomial", "RationalFunction"]
+)
+def test_quadext_does_no_arithmetic_with_polynomials(other):
+    # equal constants compare equal, but the two families never mix in arithmetic
+    assert QuadExt(1) == other
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(QuadExt(1), other)
+        with pytest.raises(TypeError):
+            op(other, QuadExt(1))
+
+
 # small pools, so that values of different types often coincide
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 POLYS = st.lists(SMALL, max_size=3).map(KPolynomial)
@@ -215,12 +232,17 @@ NUMBERS = st.one_of(
 
 
 @given(st.lists(NUMBERS, min_size=2, max_size=6))
+@example([KPolynomial([]), QuadExt(0), 0])  # the families meet only at constants
 def test_equal_numbers_hash_equal_across_types(values):
     for a in values:
         for b in values:
             assert (a == b) == (b == a), (a, b)
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+                for c in values:
+                    assert b != c or a == c, (a, b, c)
+    # so a set's size does not depend on the insertion order
+    assert len(set(values)) == len(set(reversed(values)))
 
 
 @pytest.mark.parametrize(
