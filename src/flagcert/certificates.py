@@ -323,6 +323,8 @@ def _parse_certificate(text: str, at: list) -> Certificate:
     if not 2 <= order <= MAX_BASIS_ORDER:
         raise ValueError(f"expansion-order {order} outside 2..{MAX_BASIS_ORDER}")
     target = parse_paircode(header_value("target"))
+    if target.n > order:
+        raise ValueError("target exceeds the expansion order")
     strict_value = header_value("strict", "no")
     if strict_value not in ("yes", "no"):
         raise ValueError(f"'strict' must be yes or no, got {strict_value!r}")

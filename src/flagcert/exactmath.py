@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from ._frozen import _Frozen
 
-Rat = int | Fraction
-
 
 def frac(x) -> Fraction:
     """Coerce ints, Fractions and exact decimal strings to Fraction.

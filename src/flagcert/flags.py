@@ -43,7 +43,6 @@ from .graphs import (
     _enumerate,
     _min_code_cached,
     _rows,
-    parse_paircode,
     emit_paircode,
 )
 
@@ -89,19 +88,6 @@ class Flag(_Frozen):
 
     def __str__(self) -> str:
         return f"s={self.labels};{emit_paircode(self.graph)}"
-
-
-def parse_flag(text: str) -> Flag:
-    """Parse "s=2;2 1 1 2 2 1" (sigma accepted for s); bare codes mean s=0."""
-    s = text.strip()
-    if ";" in s:
-        head, _, body = s.partition(";")
-        head = head.strip().replace("σ", "s")
-        if not head.startswith("s="):
-            raise ValueError(f"bad flag prefix in {text!r}")
-        labels = int(head[2:])
-        return Flag(parse_paircode(body), labels)
-    return Flag(parse_paircode(s), 0)
 
 
 def flag_basis(type_graph: SmallGraph | None, l: int) -> tuple[Flag, ...]:

@@ -155,6 +155,12 @@ def test_parse_rejects_malformed():
     [
         ("kind: numeric", "kind: mystery", 6, "kind must be numeric or parametric"),
         ("expansion-order: 5", "expansion-order: five", 7, "invalid literal"),
+        (
+            "target: 1 2 2 2 2 2 2 1 2 2",
+            "target: 1 2 2 2 2 2 2 1 2 2 2 2 2 2 2",
+            8,
+            "target exceeds the expansion order",
+        ),
         ("bound: 45", "bound: 1/0", 11, ""),
         ("strict: no", "strict: no\nbogus: 1", 13, "unknown key 'bogus' in header"),
         ("strict: no", "strict: no\nscale: 1", 13, "duplicate key 'scale'"),

@@ -21,7 +21,6 @@ from flagcert.flags import (
     flag_basis,
     flag_product,
     lift,
-    parse_flag,
     unlabel,
 )
 from flagcert.graphs import (
@@ -151,14 +150,6 @@ def test_flag_basis_type_embedding():
     for f in flag_basis(complete(2), 4):
         assert f.labels == 2
         assert f.graph.adjacent(0, 1)
-
-
-def test_parse_flag():
-    f = parse_flag("s=2;2 1 1 2 2 1")
-    assert f.labels == 2 and f.order == 4
-    assert parse_flag("2 2 2").labels == 0
-    with pytest.raises(ValueError):
-        parse_flag("x=2;2 2 2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The library has no runtime dependencies: it imports only the standard
-library and its own modules, by relative import."""
+library and its own modules, by relative import.  Every top-level name is
+reachable from the command or the public names, or waits on a ROADMAP item."""
 
 import ast
 import os
@@ -159,3 +160,59 @@ def test_only_the_frozen_base_sets_fields_or_defines_identity():
                     if isinstance(t, ast.Name) and t.id in names
                 ]
     assert found == []
+
+
+# top-level names that nothing reachable uses yet, each with the ROADMAP item
+# that gives it a caller; a new dead name fails, and so does a stale entry
+UNREACHABLE = {
+    "exactmath.count_real_roots": "item 5",
+    "flags.flag_basis": "item 13",
+    "graphs._enumerate_unchecked": "item 3, which deletes it with perfbench/shim.py",
+    "oracle.target_graph": "item 1",
+}
+
+
+def _top_level_definitions():
+    """{(module, name): the statement defining it} over the package, and the
+    other statements that run at import (imports left out)."""
+    defs, loose = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defs.update(((path.stem, name), node) for name in names)
+            if not names:
+                loose.append(node)
+    return defs, loose
+
+
+def _used_names(node) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_top_level_name_is_reachable():
+    # walk from the console script (cli.main), the public names (__all__) and
+    # the import-time statements through every Name or Attribute use.  A use
+    # reaches every definition of that name in any module, so the walk errs
+    # towards reachable and never fails a live name
+    defs, loose = _top_level_definitions()
+    frontier = {"main", *ast.literal_eval(defs["__init__", "__all__"].value)}
+    frontier = frontier.union(*map(_used_names, loose))
+    reached = set()
+    while frontier:
+        reached |= frontier
+        uses = [_used_names(node) for (_, name), node in defs.items() if name in frontier]
+        frontier = set().union(*uses) - reached
+    dead = [f"{m}.{name}" for m, name in defs if name not in reached and not name.startswith("__")]
+    assert sorted(dead) == sorted(UNREACHABLE)

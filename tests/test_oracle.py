@@ -33,7 +33,6 @@ from flagcert.oracle import (
     edge_local_count,
     max_density_search,
     max_density_table,
-    nonneighbor_product_sum,
     target_graph,
     want_inequality_scan,
 )
@@ -185,7 +184,6 @@ def test_scan_matches_fraction_reference():
     checked, violations = brute_scan(k, 8)
     assert report.triples_checked == checked
     assert report.violations == () and violations == []
-    assert report.substitution_disagreements == ()
 
 
 def test_scan_small_integers_clean():
@@ -208,9 +206,8 @@ def test_scan_small_integers_clean():
 
 def test_scan_detector_fires_below_three():
     # the guard exists because k < 3 genuinely breaks the inequality
-    checked, [(violations, disagreements)] = _scan_cell(((5, 2),), 12)
+    checked, [violations] = _scan_cell(((5, 2),), 12)
     assert checked and violations
-    assert disagreements == []
     with pytest.raises(ValueError):
         want_inequality_scan([Fraction(5, 2)], 12)
 
@@ -225,8 +222,7 @@ def _cell_violations(pqs, n_max):
     for n in range(1, n_max + 1):
         cell_checked, per_k = _scan_cell(pqs, n)
         checked += cell_checked
-        for found, (violations, disagreements) in zip(out, per_k):
-            assert disagreements == []
+        for found, violations in zip(out, per_k):
             found.extend((n, a, b, c, which) for a, b, c, which in violations)
     return checked, out
 
@@ -248,13 +244,13 @@ def test_scan_cell_violations_match_fraction_reference():
 def _reference_cell(pqs, n):
     # _scan_cell's result from every triple under every k: no row maximum
     checked = 0
-    per_k = [([], []) for _ in pqs]
+    per_k = [[] for _ in pqs]
     for a in range(1, n):
         for b in range(a, n):
             lo = max(0, a + b - n)
             checked += a - lo + 1
             prod = (n - a) * (n - b)
-            for (p, q), (violations, disagreements) in zip(pqs, per_k):
+            for (p, q), violations in zip(pqs, per_k):
                 base = p * p * (p - 3 * q) * n * prod
                 rhs = q**3 * n**3
                 for c in range(lo, a + 1):
@@ -263,11 +259,6 @@ def _reference_cell(pqs, n):
                         violations.append((a, b, c, "want"))
                     if 3 * a >= 2 * n and cubic > prod * (a + b - n):
                         violations.append((a, b, c, "case-i"))
-                if a + b >= n:
-                    direct = p**3 * (n - b) * (n - a) * lo - base <= rhs
-                    rearranged = p * p * (n * (3 * q - 2 * p) + p * (a + b)) * prod <= rhs
-                    if direct != rearranged:
-                        disagreements.append((a, b, lo))
     return checked, per_k
 
 
@@ -275,8 +266,8 @@ SCANNED_PQS = ((3, 1), (7, 2), (4, 1), (5, 1), (10, 1))
 
 
 # k = 5/2 and k = 2 fail the want test, so their rows are walked; k = 29/10
-# passes it up to n = 40.  Case-i is a true bound and the slice's two forms
-# are one identity, so those lists stay empty at every k.
+# passes it up to n = 40.  Case-i is a true bound, so it adds nothing at
+# any k.
 @pytest.mark.parametrize(
     "pqs, fails",
     [(SCANNED_PQS, False), (((5, 2),), True), (((2, 1),), True), (((29, 10),), False)],
@@ -286,8 +277,24 @@ def test_scan_cell_matches_the_every_triple_reference(pqs, fails):
     for n in range(1, 41):
         got = _scan_cell(pqs, n)
         assert got == _reference_cell(pqs, n), n
-        found += sum(len(violations) for violations, _ in got[1])
+        found += sum(map(len, got[1]))
     assert (found > 0) == fails
+
+
+def test_slice_forms_are_one_polynomial_and_the_case_i_bound():
+    # a = d_u, b = d_v, lo = a + b - n.  On the slice d_uv = lo the cleared
+    # inequality's direct form and its rearranged form are the same
+    # polynomial, so a check comparing them could never disagree; and f(lo)
+    # is the case-i bound on every row with a + b >= n
+    sp = pytest.importorskip("sympy")
+    a, b, n, p, q = sp.symbols("a b n p q")
+    lo = a + b - n
+    f_lo = (a - lo) * (b - lo) * lo
+    prod = (n - a) * (n - b)
+    direct = p**3 * f_lo - p**2 * (p - 3 * q) * n * prod
+    rearranged = p**2 * (n * (3 * q - 2 * p) + p * (a + b)) * prod
+    assert sp.expand(direct - rearranged) == 0
+    assert sp.expand(f_lo - prod * (a + b - n)) == 0
 
 
 @st.composite
@@ -500,27 +507,3 @@ def test_am_gm_on_random_rational_triples():
             for _ in range(3)
         ]
         assert x[0] * x[1] * x[2] <= (sum(x) / 3) ** 3
-
-
-def test_regular_hosts_maximize_nonneighbor_sum():
-    # reported, not asserted: the maximizer of sum (n-d_u)(n-d_v) per edge
-    # count tends to minimize degree spread, matching the regularity
-    # heuristic the counting argument leans on externally
-    spread_gap = []
-    for m in range(1, 16):
-        hosts = [g for g in enumerate_graphs(6) if g.edge_count == m]
-        best = max(nonneighbor_product_sum(g) for g in hosts)
-
-        def spread(g):
-            degs = [r.bit_count() for r in g.rows()]
-            return max(degs) - min(degs)
-
-        arg_spreads = {
-            spread(g) for g in hosts if nonneighbor_product_sum(g) == best
-        }
-        min_spread = min(spread(g) for g in hosts)
-        spread_gap.append((m, min(arg_spreads) - min_spread))
-    report = ", ".join(f"m={m}: +{gap}" for m, gap in spread_gap)
-    print(f"nonneighbor-sum maximizer spread above minimum: {report}")
-    assert nonneighbor_product_sum(complete(5)) == 10  # (5-4)^2 per edge
-    assert nonneighbor_product_sum(turan(3, 6)) == 12 * 4  # (6-4)^2 per edge

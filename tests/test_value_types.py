@@ -84,7 +84,7 @@ VALUES = [
         ScanReport,
         dict(
             k_values=(Fraction(3),), n_max=4, triples_checked=1, violations=(),
-            turan_equalities=(), substitution_disagreements=(),
+            turan_equalities=(),
         ),
     ),
     (
