@@ -8,8 +8,10 @@ in any verdict.  See the module docstrings for the individual pieces:
 * ``exactmath``: polynomials in one variable, Sturm root isolation,
   rational functions, exact LDL^T positive-semidefiniteness checks.
 * ``flags``: labelled-graph algebras, products, unlabelling, lifting.
-* ``certificates``: the certificate file format, its verifiers, and
-  reference-table comparison.
+* ``verdict``: everything a certificate's PASS depends on: the
+  expansion, the sign and PSD checks, the verification report.
+* ``certificates``: the certificate file format, the verifiers' entry
+  points, and reference-table comparison.
 * ``constructions``: weighted blowups and the lower-bound profile curve.
 * ``oracle``: brute-force searches and the counting-identity checks.
 * ``cli``: the ``flagcert`` command.
@@ -18,7 +20,6 @@ in any verdict.  See the module docstrings for the individual pieces:
 from .certificates import (
     Certificate,
     Golden,
-    VerificationReport,
     compare_with_golden,
     load_certificate,
     load_golden,
@@ -80,6 +81,7 @@ from .oracle import (
     max_density_table,
     want_inequality_scan,
 )
+from .verdict import VerificationReport
 
 __version__ = "1.0.0"
 

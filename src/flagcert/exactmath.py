@@ -14,6 +14,7 @@ over Q(k) on a ray, as PSD / not-PSD with a checkable witness either way.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -25,18 +26,35 @@ def frac(x) -> Fraction:
     """Coerce ints, Fractions and exact decimal strings to Fraction.
 
     A string with a zero denominator raises ValueError, as any other
-    malformed literal does.
+    malformed literal does, and so does one too long to print
+    (``_check_digits``).
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        _check_digits(x.strip())
         try:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"division by zero in {x.strip()!r}") from None
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction exactly")
+
+
+def _check_digits(text: str) -> None:
+    """Refuse a literal whose mantissa digits plus its exponent exceed the
+    digits ``str`` may give an int: ``Fraction`` would spend minutes on the
+    power of ten of an exponent like 1e999999999, and a value that long
+    could not be printed."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal():  # else no exponent, or one Fraction refuses
+        digits += limit + 1 if len(exponent) > len(str(limit)) else int(exponent)
+    if digits > limit:
+        raise ValueError(f"literal {text!r} has more than {limit} digits")
 
 
 class KPolynomial(_Frozen):

@@ -6,7 +6,8 @@ upper triangle.  Bit ``j*(j-1)//2 + i`` holds the pair ``(i, j)`` with
 (0,3), ...  A graph grows by one vertex by appending a column of bits.
 Codes compare pair (0,1) first.  Graph6 and the listing's new columns
 put it in the highest bit, and ``_reversed`` converts where that order
-is the format.
+is the format.  The pair code reads pairs row by row through one cached
+table of mask bits per order, ``_row_major``.
 Adjacency rows (bit v of row u: u and v are adjacent) are the other view,
 and two helpers convert: ``_rows`` (mask to rows) and ``_induced_mask``
 (rows and a vertex list to mask).  The builders ``induced``,
@@ -562,6 +563,16 @@ def blowup_graph(base: SmallGraph, sizes: tuple[int, ...]) -> SmallGraph:
 # serialization
 
 
+# mask bits to pair-code digits: 0 (no edge) is 1, 1 (edge) is 2
+_DIGITS = str.maketrans("01", "12")
+
+
+@lru_cache(maxsize=MAX_ORDER)
+def _row_major(n: int) -> tuple[int, ...]:
+    """The mask bit of each pair in pair-code order (0,1), (0,2), ..., (n-2,n-1)."""
+    return tuple(_pair_index(i, j) for i in range(n - 1) for j in range(i + 1, n))
+
+
 def parse_paircode(text: str) -> SmallGraph:
     """Parse a pair-digit code: one digit per pair, 2 = edge, 1 = non-edge.
 
@@ -578,24 +589,15 @@ def parse_paircode(text: str) -> SmallGraph:
     n = int((1 + math.isqrt(1 + 8 * m)) // 2)
     if n * (n - 1) // 2 != m:
         raise ValueError(f"pair code length {m} is not a triangular number")
-    mask = 0
-    t = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if digits[t] == "2":
-                mask |= 1 << _pair_index(i, j)
-            t += 1
-    return SmallGraph(n, mask)
+    check_order(n)
+    return SmallGraph(n, sum(1 << b for b, d in zip(_row_major(n), digits) if d == "2"))
 
 
 def emit_paircode(g: SmallGraph) -> str:
     if g.n == 1:
         return "-"
-    digits = []
-    for i in range(g.n - 1):
-        for j in range(i + 1, g.n):
-            digits.append("2" if g.mask >> _pair_index(i, j) & 1 else "1")
-    return " ".join(digits)
+    bits = format(g.mask | 1 << g.pair_count, "b")[:0:-1]  # bits[b] is mask bit b
+    return " ".join([bits[b] for b in _row_major(g.n)]).translate(_DIGITS)
 
 
 def to_graph6(g: SmallGraph) -> str:

@@ -27,6 +27,7 @@ from flagcert.constructions import (
 from flagcert.exactmath import KPolynomial, SymMatrix, nonneg_on_ray, psd_check
 from flagcert.graphs import complete, enumerate_graphs, parse_paircode, turan
 from flagcert.oracle import counting_identity_check, want_inequality_scan
+from flagcert.verdict import full_matrix
 
 K221 = parse_paircode("2 2 2 1 1 2 2 2 2 2")
 
@@ -78,9 +79,9 @@ def test_criterion_03_k3_certificate():
     all_below = all(c <= 10 for c in report.coefficients.values())
     big = next(
         st for st in cert.square_terms
-        if st.matrix is not None and len(st.full_matrix()) == 6
+        if st.matrix is not None and len(full_matrix(st)) == 6
     )
-    m = SymMatrix.from_rows(big.full_matrix())
+    m = SymMatrix.from_rows(full_matrix(big))
     res = psd_check(m)
     witness_ok = res.psd and res.verify(m)
     ok = report.passed and all_below and witness_ok
@@ -102,7 +103,7 @@ def test_criterion_04_k4_certificate():
     all_below = all(c <= 45 for c in report.coefficients.values())
     (square,) = cert.square_terms
     expected = ((91, 12, -115), (12, 41, -94), (-115, -94, 303))
-    rows = square.full_matrix()
+    rows = full_matrix(square)
     matrix_ok = all(
         rows[i][j] == expected[i][j] for i in range(3) for j in range(3)
     )

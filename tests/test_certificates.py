@@ -14,11 +14,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import flagcert
-from flagcert import certificates, flags, graphs
+from flagcert import certificates, flags, graphs, verdict
 from flagcert.certificates import (
     _largest_root,
-    _psd_failure,
-    _ray_problem,
     certificate_expansion,
     compare_with_golden,
     load_certificate,
@@ -42,6 +40,7 @@ from flagcert.graphs import (
     parse_paircode,
     turan,
 )
+from flagcert.verdict import _psd_failure, _ray_problem
 
 K221 = turan(3, 5)
 
@@ -572,6 +571,35 @@ def test_deficit_roots_are_isolated_only_when_read(monkeypatch):
     numeric = verify_certificate(load_certificate("lemma074.cert"))
     assert compare_with_golden(numeric, load_golden("appendixB.golden")) == []
     assert calls == []
+
+
+def test_expansion_is_reexported_as_the_verdicts_own():
+    # rebinding the name in every namespace that holds it reaches _verify's call
+    assert certificates.certificate_expansion is verdict.certificate_expansion
+
+
+@pytest.mark.parametrize(
+    "name", ["k3.cert", "k4.cert", "lemma074.cert", "appendixA.cert"]
+)
+def test_a_passing_verdict_isolates_no_root(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(verdict, "isolate_largest_real_root", lambda *a: calls.append(a))
+    assert verify_certificate(load_certificate(name)).passed
+    assert calls == []
+
+
+def test_a_failing_psd_condition_carries_its_root(monkeypatch):
+    calls = []
+    isolate = verdict.isolate_largest_real_root
+    monkeypatch.setattr(
+        verdict, "isolate_largest_real_root", lambda p, w: calls.append(p) or isolate(p, w)
+    )
+    cert = load_certificate("appendixA.cert")
+    report = verify_certificate(cert, k0=Fraction(81, 20))
+    assert calls == [t.psd_condition for t in cert.square_terms if t.psd_condition]
+    (fail,) = [f for f in report.failures if "psd condition" in f]
+    assert fail.endswith(" is negative on [81/20, oo) (largest root ~4.1130604)")
+    assert f"{float(report.psd_condition_root):.9f}" == "4.113060432"
 
 
 def test_goldens_load():

@@ -593,6 +593,66 @@ def test_zero_denominator_argument_exits_two(capsys, argv):
     assert "'1/0'" in err and "Fraction(1, 0)" not in err
 
 
+def _huge_literal_run(argv, stdin=None):
+    """Run the CLI in a fresh process that must finish within a few seconds."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "flagcert.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=20,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        (
+            "k4.cert", "multiplier: 15/256", "multiplier: 1e999999999",
+            "certificate line 25: literal '1e999999999' has more than 4300 digits",
+        ),
+        (
+            "k4.cert", "multiplier: 15/256", "multiplier: 1e-99999999",
+            "certificate line 25: literal '1e-99999999' has more than 4300 digits",
+        ),
+        (
+            "appendixA.cert", "k0: 5", "k0: 1e9999",
+            "certificate line 20: literal '1e9999' has more than 4300 digits",
+        ),
+        (
+            "appendixA.cert", "multiplier: 1\n", "multiplier: [1e999999999]\n",
+            "certificate line 44: literal '1e999999999' has more than 4300 digits",
+        ),
+    ],
+)
+def test_huge_certificate_literal_exits_two_at_its_line(name, old, new, message):
+    text = _bundled_text(name)
+    assert old in text
+    proc = _huge_literal_run(["verify", "--cert", "-"], text.replace(old, new))
+    _assert_one_error_line(proc, message)
+
+
+def test_huge_golden_literal_exits_two_at_its_line():
+    proc = _huge_literal_run(
+        ["verify", "--cert", "k4.cert", "--golden", "-"], "golden: k4\n1e999999999 | 2 2 2\n"
+    )
+    _assert_one_error_line(proc, "golden line 2: literal '1e999999999' has more than")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--cert", "appendixA.cert", "--k0", "1e999999999"),
+        ("scan", "--k", "3,1e999999999", "--nmax", "10"),
+        ("profile", "--from", "1e-99999999", "--to", "1", "--step", "1/10"),
+        ("profile", "--from", "0", "--to", "1e999999999", "--step", "1/10"),
+        ("profile", "--from", "0", "--to", "1", "--step", "1e-99999999"),
+    ],
+)
+def test_huge_argument_literal_exits_two(argv):
+    proc = _huge_literal_run(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "1e" in proc.stderr
+
+
 def test_psd_condition_on_1x1_matrix_fails_cleanly(capsys, monkeypatch):
     block = (
         "begin square\nlabels: 3\ntype: 1 1 1\nmultiplier: 1\n"

@@ -66,6 +66,17 @@ def test_paircode_round_trip():
             assert parse_paircode(emit_paircode(g)) == g
 
 
+@given(st.integers(min_value=2, max_value=9), st.data())
+def test_pair_code_table_reads_each_pair_at_its_mask_bit(n, data):
+    # the emission and the parser read pairs through one row-major table
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    assert graphs._row_major(n) == tuple(graphs._pair_index(i, j) for i, j in pairs)
+    g = SmallGraph(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)))
+    code = emit_paircode(g)
+    assert code.split() == ["2" if g.adjacent(i, j) else "1" for i, j in pairs]
+    assert parse_paircode(code) == g == parse_paircode(code.replace(" ", ""))
+
+
 def test_paircode_rejects_garbage():
     with pytest.raises(ValueError):
         parse_paircode("2 0 2")

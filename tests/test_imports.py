@@ -46,7 +46,9 @@ def _package_imports(path: Path) -> set[str]:
     return {name.removeprefix("flagcert.").partition(".")[0] for name in found}
 
 
-# every import edge inside the package; a new edge updates this table
+# every import edge inside the package; a new edge updates this table.  The
+# verdict layer (verdict.py, everything a PASS depends on) imports only
+# exactmath, flags and graphs: no parser, golden, report or writer code
 IMPORT_LAYERS = {
     "_frozen": set(),
     "graphs": {"_frozen"},
@@ -54,16 +56,19 @@ IMPORT_LAYERS = {
     "flags": {"_frozen", "graphs"},
     "oracle": {"_frozen", "graphs"},
     "constructions": {"_frozen", "exactmath", "graphs"},
-    "certificates": {"exactmath", "flags", "graphs"},
+    "verdict": {"exactmath", "flags", "graphs"},
+    "certificates": {"exactmath", "flags", "graphs", "verdict"},
     "cli": {"certificates", "constructions", "exactmath", "graphs", "oracle"},
-    "__init__": {"certificates", "constructions", "exactmath", "flags", "graphs", "oracle"},
+    "__init__": {
+        "certificates", "constructions", "exactmath", "flags", "graphs", "oracle", "verdict",
+    },
 }
 
 
 def test_package_import_layers():
     # _frozen, the one immutable value base, is the bottom layer; graphs and
     # exactmath stand on it alone, flags and the oracle on it and graphs,
-    # and only the certificates reach flags
+    # and only the verdict and the certificates reach flags
     layers = {path.stem: _package_imports(path) for path in sorted(SRC.rglob("*.py"))}
     assert layers == IMPORT_LAYERS
 

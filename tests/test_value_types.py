@@ -17,7 +17,6 @@ from flagcert.certificates import (
     Golden,
     LinearTerm,
     SquareTerm,
-    VerificationReport,
     load_certificate,
     verify_certificate,
 )
@@ -33,6 +32,7 @@ from flagcert.oracle import (
     SearchResult,
     TuranEquality,
 )
+from flagcert.verdict import VerificationReport
 
 HALF = Fraction(1, 2)
 
