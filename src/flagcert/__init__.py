@@ -15,136 +15,112 @@ in any verdict.  See the module docstrings for the individual pieces:
 * ``constructions``: weighted blowups and the lower-bound profile curve.
 * ``oracle``: brute-force searches and the counting-identity checks.
 * ``cli``: the ``flagcert`` command.
+
+Importing the package runs none of them.  Each library module is
+registered lazily (``importlib.util.LazyLoader``): it is in ``sys.modules``
+and on the package at once, and its source is compiled and run on its
+first attribute access.  So a command runs only the modules it reaches:
+``enumerate`` runs ``graphs`` alone, and ``verify`` never runs ``oracle``
+or ``constructions``.  A public name such as ``flagcert.SmallGraph`` is
+found through the export table ``_EXPORTS``.
 """
 
-from .certificates import (
-    Certificate,
-    Golden,
-    compare_with_golden,
-    load_certificate,
-    load_golden,
-    parse_certificate,
-    parse_golden,
-    verify_certificate,
-    verify_density_certificate,
-    verify_parametric_certificate,
-)
-from .constructions import (
-    BlowupModel,
-    ProfilePoint,
-    QuadExt,
-    blowup_density,
-    conjecture_value,
-    model_value,
-    piece_model,
-    profile_csv,
-    profile_table,
-    turan_bound,
-)
-from .exactmath import (
-    KPolynomial,
-    RationalFunction,
-    SymMatrix,
-    isolate_largest_real_root,
-    nonneg_on_ray,
-    psd_check,
-)
-from .flags import Flag, FlagVector, bilinear_expansion, expand_quadratic_form, flag_product, lift, unlabel
-from .graphs import (
-    SmallGraph,
-    automorphism_count,
-    blowup_graph,
-    complete,
-    count_induced,
-    empty,
-    emit_paircode,
-    enumerate_graphs,
-    from_graph6,
-    induced_density,
-    join,
-    parse_graph,
-    parse_paircode,
-    to_graph6,
-    turan,
-    union,
-)
-from .oracle import (
-    SEARCH_CSV_HEADER,
-    DegreeLocalData,
-    IdentityCheckReport,
-    ScanReport,
-    SearchResult,
-    counting_identity_check,
-    degree_local_data,
-    edge_local_count,
-    max_density_search,
-    max_density_table,
-    want_inequality_scan,
-)
-from .verdict import VerificationReport
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+# each public name and the module that defines it; ``__getattr__`` and
+# ``__dir__`` read this table, and ``__all__`` is its keys
+_EXPORTS = {
+    "Certificate": "certificates",
+    "Golden": "certificates",
+    "compare_with_golden": "certificates",
+    "load_certificate": "certificates",
+    "load_golden": "certificates",
+    "parse_certificate": "certificates",
+    "parse_golden": "certificates",
+    "verify_certificate": "certificates",
+    "verify_density_certificate": "certificates",
+    "verify_parametric_certificate": "certificates",
+    "BlowupModel": "constructions",
+    "ProfilePoint": "constructions",
+    "QuadExt": "constructions",
+    "blowup_density": "constructions",
+    "conjecture_value": "constructions",
+    "model_value": "constructions",
+    "piece_model": "constructions",
+    "profile_csv": "constructions",
+    "profile_table": "constructions",
+    "turan_bound": "constructions",
+    "KPolynomial": "exactmath",
+    "RationalFunction": "exactmath",
+    "SymMatrix": "exactmath",
+    "isolate_largest_real_root": "exactmath",
+    "nonneg_on_ray": "exactmath",
+    "psd_check": "exactmath",
+    "Flag": "flags",
+    "FlagVector": "flags",
+    "bilinear_expansion": "flags",
+    "expand_quadratic_form": "flags",
+    "flag_product": "flags",
+    "lift": "flags",
+    "unlabel": "flags",
+    "SmallGraph": "graphs",
+    "automorphism_count": "graphs",
+    "blowup_graph": "graphs",
+    "complete": "graphs",
+    "count_induced": "graphs",
+    "emit_paircode": "graphs",
+    "empty": "graphs",
+    "enumerate_graphs": "graphs",
+    "from_graph6": "graphs",
+    "induced_density": "graphs",
+    "join": "graphs",
+    "parse_graph": "graphs",
+    "parse_paircode": "graphs",
+    "to_graph6": "graphs",
+    "turan": "graphs",
+    "union": "graphs",
+    "DegreeLocalData": "oracle",
+    "IdentityCheckReport": "oracle",
+    "SEARCH_CSV_HEADER": "oracle",
+    "ScanReport": "oracle",
+    "SearchResult": "oracle",
+    "counting_identity_check": "oracle",
+    "degree_local_data": "oracle",
+    "edge_local_count": "oracle",
+    "max_density_search": "oracle",
+    "max_density_table": "oracle",
+    "want_inequality_scan": "oracle",
+    "VerificationReport": "verdict",
+}
+
+
+def _register(name: str) -> None:
+    """Put the submodule ``name`` into ``sys.modules`` and onto the package
+    without running it: its source is compiled and run on the first
+    attribute access (the ``importlib`` recipe for lazy imports)."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in ("_frozen", *dict.fromkeys(_EXPORTS.values())):
+    _register(_name)
+del _name
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_EXPORTS[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BlowupModel",
-    "Certificate",
-    "DegreeLocalData",
-    "Flag",
-    "FlagVector",
-    "Golden",
-    "IdentityCheckReport",
-    "KPolynomial",
-    "ProfilePoint",
-    "QuadExt",
-    "RationalFunction",
-    "SEARCH_CSV_HEADER",
-    "ScanReport",
-    "SearchResult",
-    "SmallGraph",
-    "SymMatrix",
-    "VerificationReport",
-    "automorphism_count",
-    "bilinear_expansion",
-    "blowup_density",
-    "blowup_graph",
-    "compare_with_golden",
-    "complete",
-    "conjecture_value",
-    "count_induced",
-    "counting_identity_check",
-    "degree_local_data",
-    "edge_local_count",
-    "emit_paircode",
-    "empty",
-    "enumerate_graphs",
-    "expand_quadratic_form",
-    "flag_product",
-    "from_graph6",
-    "induced_density",
-    "isolate_largest_real_root",
-    "join",
-    "lift",
-    "load_certificate",
-    "load_golden",
-    "max_density_search",
-    "max_density_table",
-    "model_value",
-    "nonneg_on_ray",
-    "parse_certificate",
-    "parse_golden",
-    "parse_graph",
-    "parse_paircode",
-    "piece_model",
-    "profile_csv",
-    "profile_table",
-    "psd_check",
-    "to_graph6",
-    "turan",
-    "turan_bound",
-    "union",
-    "unlabel",
-    "verify_certificate",
-    "verify_density_certificate",
-    "verify_parametric_certificate",
-    "want_inequality_scan",
-]
+__all__ = sorted(_EXPORTS)

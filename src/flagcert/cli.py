@@ -15,39 +15,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .certificates import (
-    compare_with_golden,
-    load_certificate,
-    load_golden,
-    parse_certificate,
-    parse_golden,
-    verify_certificate,
-)
-from .constructions import profile_csv, profile_table
-from .exactmath import frac
-from .graphs import (
-    MAX_ORDER,
-    SmallGraph,
-    _level,
-    check_order,
-    count_induced,
-    emit_paircode,
-    induced_density,
-    parse_graph,
-    to_graph6,
-)
-from .oracle import (
-    SEARCH_CSV_HEADER,
-    max_density_search,
-    max_density_table,
-    want_inequality_scan,
-)
+from . import certificates, constructions, exactmath, graphs, oracle
 
 
 class UsageError(Exception):
     """Bad arguments or unreadable input; maps to exit status 2."""
+
+
+def frac(text: str):
+    """``exactmath.frac`` for argparse, which names this function in its
+    error text: ``invalid frac value: ...``."""
+    return exactmath.frac(text)
 
 
 def _read(source: str, parse, load):
@@ -60,22 +39,22 @@ def _read(source: str, parse, load):
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    check_order(args.order)  # then print each class as it is listed, not the whole order
+    graphs.check_order(args.order)  # then print each class as it is listed, not the whole order
     count = 0
-    for count, mask in enumerate(_level(args.order, 0, 0), 1):
-        g = SmallGraph(args.order, mask)
-        print(to_graph6(g) if args.graph6 else emit_paircode(g))
+    for count, mask in enumerate(graphs._level(args.order, 0, 0), 1):
+        g = graphs.SmallGraph(args.order, mask)
+        print(graphs.to_graph6(g) if args.graph6 else graphs.emit_paircode(g))
     print(f"count={count}")
     return 0
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    h = parse_graph(args.h)
-    g = parse_graph(args.g)
-    dens = induced_density(h, g)
-    print(f"pattern: {emit_paircode(h)}")
-    print(f"host: {emit_paircode(g)}")
-    print(f"count={count_induced(h, g)}")
+    h = graphs.parse_graph(args.h)
+    g = graphs.parse_graph(args.g)
+    dens = graphs.induced_density(h, g)
+    print(f"pattern: {graphs.emit_paircode(h)}")
+    print(f"host: {graphs.emit_paircode(g)}")
+    print(f"count={graphs.count_induced(h, g)}")
     print(f"density={dens}")
     print(f"density_approx={float(dens):.9f}")
     return 0
@@ -84,16 +63,16 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cert == "-" and args.golden == "-":
         raise UsageError("only one of --cert and --golden may read standard input")
-    cert = _read(args.cert, parse_certificate, load_certificate)
+    cert = _read(args.cert, certificates.parse_certificate, certificates.load_certificate)
     if args.golden is not None:  # bad input stops before any report line
-        golden = _read(args.golden, parse_golden, load_golden)
+        golden = _read(args.golden, certificates.parse_golden, certificates.load_golden)
         golden.check_certificate(cert)
-    report = verify_certificate(cert, k0=args.k0)
+    report = certificates.verify_certificate(cert, k0=args.k0)
     for line in report.lines():
         print(line)
     mismatches: list[str] = []
     if args.golden is not None:
-        mismatches = compare_with_golden(report, golden)
+        mismatches = certificates.compare_with_golden(report, golden)
         print(f"golden mismatches: {len(mismatches)}")
         for m in mismatches:
             print(f"  {m}")
@@ -109,10 +88,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    points = profile_table(args.from_, args.to, args.step)
-    text = profile_csv(points)
+    points = constructions.profile_table(args.from_, args.to, args.step)
+    text = constructions.profile_csv(points)
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="ascii")
+        with open(args.out, "w", encoding="ascii") as f:
+            f.write(text)
         print(f"wrote {len(points)} points to {args.out}")
         print(f"points={len(points)}")
     else:
@@ -121,12 +101,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    h = parse_graph(args.h)
+    h = graphs.parse_graph(args.h)
     if args.edges is not None:
-        rows = [max_density_search(h, args.n, args.edges)]
+        rows = [oracle.max_density_search(h, args.n, args.edges)]
     else:
-        rows = list(max_density_table(h, args.n))
-    print(SEARCH_CSV_HEADER)
+        rows = list(oracle.max_density_table(h, args.n))
+    print(oracle.SEARCH_CSV_HEADER)
     for row in rows:
         print(row.csv_row())
     best = max(rows, key=lambda r: r.max_count)
@@ -140,7 +120,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         ks = [frac(tok) for tok in args.k.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--k expects comma-separated rationals, got {args.k!r}")
-    report = want_inequality_scan(ks, args.nmax)
+    report = oracle.want_inequality_scan(ks, args.nmax)
     for line in report.lines():
         print(line)
     print(f"verdict={'PASS' if report.passed else 'FAIL'}")
@@ -162,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all isomorphism classes of an order")
-    p.add_argument("--order", type=int, required=True, help=f"vertex count (1..{MAX_ORDER})")
+    p.add_argument("--order", type=int, required=True, help=f"vertex count (1..{graphs.MAX_ORDER})")
     p.add_argument("--graph6", action="store_true", help="emit graph6 instead of pair codes")
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -186,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive max induced-count search at small order")
     p.add_argument("--h", required=True, help="pattern graph (graph6 or pair code)")
-    p.add_argument("--n", type=int, required=True, help=f"host order (1..{MAX_ORDER})")
+    p.add_argument("--n", type=int, required=True, help=f"host order (1..{graphs.MAX_ORDER})")
     p.add_argument("--edges", type=int, default=None, help="restrict hosts to this edge count")
     p.set_defaults(handler=_cmd_oracle)
 

@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from ._frozen import _Frozen
 
@@ -47,7 +48,7 @@ def _check_digits(text: str) -> None:
     digits ``str`` may give an int: ``Fraction`` would spend minutes on the
     power of ten of an exponent like 1e999999999, and a value that long
     could not be printed."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _digit_limit()
     mantissa, _, exponent = text.lower().partition("e")
     digits = sum(c.isdecimal() for c in mantissa)
     exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
@@ -55,6 +56,30 @@ def _check_digits(text: str) -> None:
         digits += limit + 1 if len(exponent) > len(str(limit)) else int(exponent)
     if digits > limit:
         raise ValueError(f"literal {text!r} has more than {limit} digits")
+
+
+def _digit_limit() -> int:
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+@lru_cache(maxsize=1)
+def _ten_to(limit: int) -> int:
+    return 10**limit
+
+
+def check_printable(values: Iterable, what: str) -> None:
+    """Refuse exact ``values`` (rationals, polynomials or rational
+    functions) naming ``what`` when one holds an integer with more digits
+    than ``str`` may give: a report could not print it."""
+    limit = _digit_limit()
+    top = _ten_to(limit)
+    for x in values:
+        if isinstance(x, RationalFunction):
+            cs = x.num.coeffs + x.den.coeffs
+        else:
+            cs = x.coeffs if isinstance(x, KPolynomial) else (x,)
+        if any(abs(c.numerator) >= top or c.denominator >= top for c in cs):
+            raise ValueError(f"{what} has more than {limit} digits")
 
 
 class KPolynomial(_Frozen):

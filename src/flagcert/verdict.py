@@ -48,6 +48,7 @@ from fractions import Fraction
 from .exactmath import (
     RationalFunction,
     SymMatrix,
+    check_printable,
     isolate_largest_real_root,
     nonneg_on_ray,
     positive_on_ray,
@@ -95,18 +96,24 @@ def _vector_from(entries, order: int) -> FlagVector:
 
 
 def certificate_expansion(cert) -> FlagVector:
-    """target_coefficient * target + all terms, over F_{expansion_order}."""
+    """target_coefficient * target + all terms, over F_{expansion_order}.
+
+    A term whose part holds a number too long to print is refused by name.
+    """
     order = cert.expansion_order
     target = ((cert.target_coefficient, cert.target),)
     total = lift(_vector_from(target, cert.target.n), order)
-    for lt in cert.linear_terms:
+    for i, lt in enumerate(cert.linear_terms):
         v = _vector_from(lt.vector, lt.vector_order)
         f = _vector_from(lt.factor, lt.factor_order)
-        prod = bilinear_expansion(v, f)
-        total = total + lift(prod, order)
-    for st in cert.square_terms:
+        part = lift(bilinear_expansion(v, f), order)
+        check_printable(part.coeffs.values(), f"linear term {i}: an expansion coefficient")
+        total = total + part
+    for i, st in enumerate(cert.square_terms):
         expanded = expand_quadratic_form(full_matrix(st), list(st.flags))
-        total = total + lift(expanded, order).scaled(st.multiplier)
+        part = lift(expanded, order).scaled(st.multiplier)
+        check_printable(part.coeffs.values(), f"square term {i}: an expansion coefficient")
+        total = total + part
     return total
 
 
@@ -313,12 +320,14 @@ def _verify(cert, k0: Fraction | None) -> VerificationReport:
         code = emit_paircode(g)
         if parametric:
             deficit = RationalFunction(cert.scale) * (RationalFunction(cert.bound) - c)
+            check_printable((deficit,), f"deficit at {code}")
             if not deficit.is_polynomial:
                 failures.append(f"deficit at {code} is not a polynomial: {deficit}")
                 continue
             deficit = coefficients[code] = deficit.as_polynomial()
         else:
             c = coefficients[code] = c * cert.scale
+            check_printable((c,), f"scaled coefficient at {code}")
             deficit = cert.bound - c
         negative = problem(deficit) is not None
         if negative or cert.strict and not positive(deficit):

@@ -53,8 +53,9 @@ def test_caches_read_by_the_runner_are_lru_caches():
 
 
 def test_importing_the_cli_loads_every_module_the_shim_wraps():
-    # the shim wraps only the modules that ``import flagcert.cli`` loaded, so
-    # a lazy import of any of them would stop the traced benchmark
+    # the shim wraps the modules that ``import flagcert.cli`` leaves in
+    # sys.modules, so each must be registered there, though none need have
+    # run: the shim's vars() of a lazily registered module runs it
     probe = (
         "import json, sys, flagcert.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('flagcert.'))))"

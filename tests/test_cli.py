@@ -653,6 +653,36 @@ def test_huge_argument_literal_exits_two(argv):
     assert "Traceback" not in proc.stderr and "1e" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        (
+            "k4.cert", "multiplier: 15/256", "multiplier: 9e4299",
+            "square term 0: an expansion coefficient has more than 4300 digits",
+        ),
+        (
+            "k4.cert", "vector: 95/64", "vector: 9e4299",
+            "linear term 0: an expansion coefficient has more than 4300 digits",
+        ),
+        (
+            "k4.cert", "target-coefficient: 1", "target-coefficient: 9e4299",
+            "scaled coefficient at 1 2 2 2 2 2 2 1 2 2 has more than 4300 digits",
+        ),
+        (
+            "appendixA.cert", "multiplier: 1\n", "multiplier: [9e4299]\n",
+            "square term 1: an expansion coefficient has more than 4300 digits",
+        ),
+    ],
+)
+def test_coefficient_too_long_to_print_exits_two_naming_its_term(name, old, new, message):
+    # each literal is inside the digit limit, but a product of literals is
+    # not, and the report could not print it
+    text = _bundled_text(name)
+    assert old in text
+    proc = _huge_literal_run(["verify", "--cert", "-"], text.replace(old, new, 1))
+    _assert_one_error_line(proc, message)
+
+
 def test_psd_condition_on_1x1_matrix_fails_cleanly(capsys, monkeypatch):
     block = (
         "begin square\nlabels: 3\ntype: 1 1 1\nmultiplier: 1\n"

@@ -1,12 +1,17 @@
 """The library has no runtime dependencies: it imports only the standard
-library and its own modules, by relative import.  Every top-level name is
-reachable from the command or the public names, or waits on a ROADMAP item."""
+library and its own modules, by relative import.  The package registers its
+modules lazily, so each command runs only the modules it reaches.  Every
+top-level name is reachable from the command or the public names, or waits
+on a ROADMAP item."""
 
 import ast
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flagcert"
 
@@ -65,11 +70,20 @@ IMPORT_LAYERS = {
 }
 
 
+def _export_table() -> dict[str, str]:
+    """The package's table of each public name and its module, read from source."""
+    defs, _ = _top_level_definitions()
+    return ast.literal_eval(defs["__init__", "_EXPORTS"].value)
+
+
 def test_package_import_layers():
     # _frozen, the one immutable value base, is the bottom layer; graphs and
     # exactmath stand on it alone, flags and the oracle on it and graphs,
-    # and only the verdict and the certificates reach flags
+    # and only the verdict and the certificates reach flags.  The package
+    # itself imports no submodule: it registers them lazily, and its edges
+    # are the modules its export table names
     layers = {path.stem: _package_imports(path) for path in sorted(SRC.rglob("*.py"))}
+    layers["__init__"] |= set(_export_table().values())
     assert layers == IMPORT_LAYERS
 
 
@@ -84,22 +98,28 @@ def test_no_module_imports_a_process_pool():
     assert pools == []
 
 
-def _loaded_after_cli_import(names, *options) -> list[str]:
-    """Those of ``names`` a fresh interpreter, started with the interpreter
-    ``options``, holds after ``import flagcert.cli``."""
+def _probe(source: str, *options):
+    """The literal that ``source``, run by a fresh interpreter started with
+    the interpreter ``options``, prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
     )
+    proc = subprocess.run(
+        [sys.executable, *options, "-c", source], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after_cli_import(names, *options) -> list[str]:
+    """Those of ``names`` a fresh interpreter, started with the interpreter
+    ``options``, holds after ``import flagcert.cli``."""
     probe = (
         "import sys, flagcert.cli; "
         f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
     )
-    proc = subprocess.run(
-        [sys.executable, *options, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return ast.literal_eval(proc.stdout)
+    return _probe(probe, *options)
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -115,8 +135,90 @@ def test_cli_import_builds_no_dataclass():
 
 def test_cli_import_leaves_importlib_resources_out():
     # -S: no site hook (a .pth file, say) loads the module first; only a
-    # command that reads a bundled file needs it, and it pulls in tempfile
-    assert _loaded_after_cli_import(("importlib.resources", "tempfile"), "-S") == []
+    # command that reads a bundled file needs it, and it pulls in tempfile.
+    # No library module runs at import, so neither do the number modules,
+    # and the CLI writes its one file without pathlib (urllib, ipaddress)
+    names = ("importlib.resources", "tempfile", "pathlib", "fractions", "decimal")
+    assert _loaded_after_cli_import(names, "-S") == []
+
+
+# the library modules that each command runs; the others stay registered
+# in sys.modules but are never compiled
+COMMAND_MODULES = {
+    ("enumerate", "--order", "3"): {"graphs", "_frozen"},
+    ("density", "--h", "2", "--g", "2 2 2"): {"graphs", "_frozen"},
+    ("oracle", "--h", "2", "--n", "4"): {"oracle", "graphs", "_frozen"},
+    ("scan", "--k", "3,7/2", "--nmax", "8"): {"oracle", "graphs", "_frozen", "exactmath"},
+    ("profile", "--from", "0", "--to", "1", "--step", "1/4"): {
+        "constructions", "exactmath", "graphs", "_frozen",
+    },
+    ("verify", "--cert", "k4.cert"): {
+        "certificates", "verdict", "flags", "exactmath", "graphs", "_frozen",
+    },
+}
+
+# the library modules a fresh interpreter has run: a registered module that
+# still waits is not yet a plain module object
+_RUN_MODULES = (
+    "print(sorted(name.partition('.')[2] for name, module in sys.modules.items()"
+    " if name.startswith('flagcert.') and name != 'flagcert.cli'"
+    " and type(module) is types.ModuleType))"
+)
+
+
+@pytest.mark.parametrize("argv", COMMAND_MODULES, ids=[argv[0] for argv in COMMAND_MODULES])
+def test_each_command_runs_only_its_modules(argv):
+    probe = (
+        "import contextlib, io, sys, types\n"
+        "from flagcert.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n" + _RUN_MODULES
+    )
+    assert set(_probe(probe)) == COMMAND_MODULES[argv]
+
+
+def test_cli_import_runs_no_library_module():
+    registered = _probe(
+        "import sys, flagcert.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('flagcert.')))"
+    )
+    assert registered == sorted(
+        f"flagcert.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"
+    )
+    assert _probe("import sys, types, flagcert.cli; " + _RUN_MODULES) == []
+
+
+def test_star_import_and_dir_give_every_public_name():
+    names = sorted(_export_table())
+    assert _probe("import flagcert; print(flagcert.__all__)") == names
+    bound = _probe(
+        "from flagcert import *; "
+        f"print(sorted(n for n in {names!r} if n in globals()))"
+    )
+    assert bound == names
+    listed = _probe("import flagcert; print(dir(flagcert))")
+    assert set(names) <= set(listed) and listed == sorted(listed)
+
+
+def test_unknown_public_name_raises_attribute_error():
+    message = _probe(
+        "import flagcert\n"
+        "try:\n"
+        "    flagcert.x\n"
+        "except AttributeError as exc:\n"
+        "    print(repr(str(exc)))"
+    )
+    assert message == "module 'flagcert' has no attribute 'x'"
+
+
+def test_values_pickled_in_one_process_unpickle_in_another():
+    from flagcert.exactmath import KPolynomial
+    from flagcert.graphs import SmallGraph
+
+    values = (SmallGraph(4, 0b101101), KPolynomial([1, -3, 2]))
+    blob = pickle.dumps(values)
+    shown = _probe(f"import pickle; print(repr(repr(pickle.loads({blob!r}))))")
+    assert shown == repr(values)
 
 
 def test_only_graphs_reaches_the_canonicity_search():
@@ -207,12 +309,13 @@ def _used_names(node) -> set[str]:
 
 
 def test_every_top_level_name_is_reachable():
-    # walk from the console script (cli.main), the public names (__all__) and
-    # the import-time statements through every Name or Attribute use.  A use
-    # reaches every definition of that name in any module, so the walk errs
-    # towards reachable and never fails a live name
+    # walk from the console script (cli.main), the public names (the
+    # package's export table) and the import-time statements through every
+    # Name or Attribute use.  A use reaches every definition of that name in
+    # any module, so the walk errs towards reachable and never fails a live
+    # name
     defs, loose = _top_level_definitions()
-    frontier = {"main", *ast.literal_eval(defs["__init__", "__all__"].value)}
+    frontier = {"main", *_export_table()}
     frontier = frontier.union(*map(_used_names, loose))
     reached = set()
     while frontier:
